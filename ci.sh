@@ -24,7 +24,10 @@
 #                          ARCHITECTURE.md and that the doc anchors both
 #                          files promise (layer diagram, formats, update
 #                          flow, the Dynamic updates section) resolve
-#   7. bench compilation — the criterion benches must at least build
+#   7. bench compilation — the criterion benches must at least build, and
+#                          the serving benchmark (perfbench/, its own cargo
+#                          package) builds and passes its self-tests, so a
+#                          public API it uses cannot disappear unnoticed
 #   8. example smoke     — every example and figure runner runs to
 #                          completion sequentially (mem backend), emitting
 #                          BENCH series for the backend matrix of stage 10
@@ -78,8 +81,8 @@
 #                          rebuild-per-batch I/O, incremental answers and
 #                          maintained region reports byte-identical to a
 #                          fresh engine on the mutated dataset, manager and
-#                          engine health counters in agreement; exit 1 on
-#                          violation), the two emissions must match
+#                          index maintenance update counts in agreement;
+#                          exit 1 on violation), the two emissions must match
 #                          *exactly* (bench_diff --exact) with the policy
 #                          stamps asserted, and both are gated against the
 #                          committed bench_baselines/dynamic/ baseline
@@ -210,8 +213,9 @@ done
 echo "doc anchors resolve"
 end_stage
 
-begin_stage "7/15 benches compile"
+begin_stage "7/15 benches compile + perfbench self-tests"
 cargo bench --no-run
+cargo test --release --manifest-path perfbench/Cargo.toml
 end_stage
 
 emit_dir_t1="$(mktemp -d)"
@@ -339,8 +343,8 @@ end_stage
 
 begin_stage "12/15 fleet service: drift-stream serving on mem + file backends"
 # The fleet runner is self-checking (every event answered exactly once, the
-# in-region majority served locally, batches bounded, manager stats equal
-# to the engine health counters) and exits non-zero on any violation.
+# in-region majority served locally, batches bounded) and exits non-zero on
+# any violation.
 printf -- '--- fleet runner (mem, threads=1)\n'
 IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin fleet -- \
     --emit-json "$fleet_mem" >/dev/null
@@ -409,8 +413,8 @@ begin_stage "14/15 dynamic updates: fleet under tuple churn on mem + file backen
 # The dynamic runner is self-checking (most regions survive each update
 # batch, maintenance I/O strictly below the rebuild-per-batch I/O, every
 # incremental answer and maintained region report byte-identical to a
-# fresh engine on the mutated dataset, manager stats equal to the engine
-# health counters) and exits non-zero on any violation.
+# fresh engine on the mutated dataset, the manager's update count equal to
+# the index maintenance count) and exits non-zero on any violation.
 printf -- '--- dynamic runner (mem, threads=1)\n'
 IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin dynamic -- \
     --emit-json "$dynamic_mem"

@@ -4,7 +4,8 @@
 //! prints the immutable region of each query weight together with the result
 //! that takes over just past each boundary — the information a slide-bar
 //! interface for interactive weight tuning would display. The engine then
-//! serves a small batch and a subscription, the two other call styles.
+//! serves a small batch, and a one-member subscription fleet follows the
+//! query through weight drift.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -92,27 +93,36 @@ fn main() -> EngineResult<()> {
             .sum::<u64>()
     );
 
-    // The subscribed-query loop: weight drift inside the reported region is
-    // answered from the cached report (no I/O); drift outside triggers
-    // exactly one recompute and re-anchors the subscription.
-    let mut subscription = engine.subscribe(query.clone())?;
+    // The subscribed-query loop is a one-member fleet: weight drift inside
+    // the reported region is answered from the cached report (no I/O);
+    // drift outside triggers exactly one recompute and re-anchors the
+    // subscription. Drift events are increments of the current weights.
+    let mut fleet = SubscriptionManager::new(&engine, FleetConfig::default())?;
+    fleet.admit(0, query.clone())?;
+    let mut drifted = 0.0;
     for delta in [0.02, 0.05, 0.08, 0.15] {
-        let drifted = query.with_weight_shift(DimId(0), delta)?;
-        let recomputed = subscription.update(&drifted)?;
-        println!(
-            "drift q1 by {delta:+.2}: {}  result {:?}",
-            if recomputed {
-                "region exit -> recomputed"
-            } else {
-                "inside region -> cached"
-            },
-            subscription.result().ids()
-        );
+        let event = DriftEvent {
+            sub: 0,
+            dim: DimId(0),
+            delta: delta - drifted,
+        };
+        drifted = delta;
+        for answer in fleet.ingest(&[event])? {
+            println!(
+                "drift q1 by {delta:+.2}: {}  result {:?}",
+                match answer.kind {
+                    AnswerKind::Recomputed => "region exit -> recomputed",
+                    AnswerKind::Local => "inside region -> cached",
+                },
+                answer.result
+            );
+        }
     }
+    let member = fleet.member(0).expect("admitted above");
     println!(
         "subscription served {} drifts from cache, recomputed {}",
-        subscription.cache_hits(),
-        subscription.refreshes()
+        member.cache_hits(),
+        member.refreshes()
     );
     Ok(())
 }

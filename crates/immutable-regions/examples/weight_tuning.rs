@@ -8,14 +8,16 @@
 //! correlated data thresholding does — and CPT wins on both, which is the
 //! paper's headline claim.
 //!
-//! This is the retained *low-level* example: it drives the borrow-based
-//! [`RegionComputation`] API directly (per-query cold starts, explicit
-//! index lifetime) for library users who manage storage themselves. The
-//! other examples go through the owned [`IrEngine`] façade.
+//! This is the retained *low-level* example: it drives the
+//! [`RegionComputation`] API directly (per-query cold starts, an index the
+//! caller builds and shares through `Arc`) for library users who manage
+//! storage themselves. The other examples go through the owned [`IrEngine`]
+//! façade.
 //!
 //! Run with: `cargo run --release --example weight_tuning`
 
 use immutable_regions::prelude::*;
+use std::sync::Arc;
 
 fn main() -> IrResult<()> {
     let corpus = TextCorpusGenerator::new(TextCorpusConfig {
@@ -37,7 +39,7 @@ fn main() -> IrResult<()> {
         ("ST (correlated)", &correlated, 40),
     ] {
         println!("=== {name} ===");
-        let index = TopKIndex::build_in_memory(dataset)?;
+        let index = Arc::new(TopKIndex::build_in_memory(dataset)?);
         let workload = QueryWorkload::generate(
             dataset,
             &WorkloadConfig {
@@ -61,7 +63,7 @@ fn main() -> IrResult<()> {
             for query in workload.iter() {
                 index.cold_start();
                 let mut computation =
-                    RegionComputation::new(&index, query, RegionConfig::flat(algorithm))?;
+                    RegionComputation::new(index.clone(), query, RegionConfig::flat(algorithm))?;
                 let report = computation.compute()?;
                 evaluated += report.stats.evaluated_per_dim_avg();
                 reads += report.stats.io.logical_reads;

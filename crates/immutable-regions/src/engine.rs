@@ -2,25 +2,25 @@
 //!
 //! The paper's workload is service-shaped: a *subscribed* top-k query whose
 //! immutable regions are recomputed as the preference weights drift. The
-//! low-level API ([`RegionComputation`]) is borrow-bound — every caller must
-//! hand-assemble dataset → index → pool → config and thread lifetimes
-//! through its code. The engine replaces that with one owned object that
-//! holds the warm state (index + buffer pool behind [`Arc`]) and serves
-//! queries; handles are `Send + Sync + Clone` with no caller-visible
+//! low-level API ([`RegionComputation`]) makes every caller hand-assemble
+//! dataset → index → pool → config. The engine replaces that with one owned
+//! object that holds the warm state (index + buffer pool behind [`Arc`]) and
+//! serves queries; handles are `Send + Sync + Clone` with no caller-visible
 //! lifetimes.
 //!
-//! Three call styles are surfaced:
+//! Two call styles are surfaced:
 //!
 //! * [`IrEngine::query`] — one query, one [`RegionReport`] (bit-identical to
 //!   the low-level sequential path),
 //! * [`IrEngine::query_batch`] — many queries fanned out over the engine's
 //!   worker pool sharing the warm buffer pool
 //!   ([`BatchRegionComputation`] underneath; reports are identical for
-//!   every worker count),
-//! * [`IrEngine::subscribe`] — the paper's subscribed-query loop as a
-//!   first-class API: a [`Subscription`] caches the last report, answers
-//!   [`Subscription::is_immutable_under`] locally, and recomputes only when
-//!   the weights actually leave the reported region.
+//!   every worker count).
+//!
+//! The subscribed-query loop — cache the last report, answer weight drift
+//! locally, recompute only on region exit — is served by
+//! [`SubscriptionManager`](crate::fleet::SubscriptionManager), for one
+//! subscription or many.
 //!
 //! ```
 //! use immutable_regions::prelude::*;
@@ -35,17 +35,14 @@
 //! ```
 
 use ir_core::{
-    BatchOutcome, BatchRegionComputation, OwnedRegionComputation, RegionComputation, RegionConfig,
-    RegionReport,
+    BatchOutcome, BatchRegionComputation, RegionComputation, RegionConfig, RegionReport,
 };
 use ir_storage::{
     AppliedUpdate, BackendKind, ColdStartInfo, FaultPlan, IndexBuilder, IoConfig,
     MaintenanceStatsSnapshot, RetryPolicy, SnapshotSummary, StorageBackend, TopKIndex,
 };
 use ir_topk::TaConfig;
-use ir_types::{
-    Dataset, DimId, IrError, QueryVector, SparseVector, TopKResult, TupleId, TupleUpdate,
-};
+use ir_types::{Dataset, DimId, IrError, QueryVector, SparseVector, TupleId, TupleUpdate};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -574,8 +571,8 @@ impl<'d> IrEngineBuilder<'d> {
 }
 
 /// Cumulative failure accounting shared by every handle onto one engine
-/// (clones, [`IrEngine::with_config`], subscriptions). Interior-mutable so
-/// `&self` query paths can record outcomes.
+/// (clones, [`IrEngine::with_config`]). Interior-mutable so `&self` query
+/// paths can record outcomes.
 #[derive(Debug, Default)]
 struct EngineHealth {
     queries_ok: AtomicU64,
@@ -583,14 +580,6 @@ struct EngineHealth {
     worker_panics: AtomicU64,
     corruption_errors: AtomicU64,
     retries_exhausted: AtomicU64,
-    fleet_local_answers: AtomicU64,
-    fleet_recomputes: AtomicU64,
-    fleet_batches: AtomicU64,
-    shard_solves: AtomicU64,
-    shard_partials: AtomicU64,
-    updates_applied: AtomicU64,
-    regions_punctured: AtomicU64,
-    regions_survived: AtomicU64,
 }
 
 /// A point-in-time view of an engine's cumulative health counters
@@ -601,9 +590,12 @@ struct EngineHealth {
 /// individual retried page transfers. All counters are cumulative since the
 /// engine was built, except the retry counters which
 /// [`IrEngine::cold_start`] resets along with the rest of the I/O stats.
+/// Traffic of the layers above the engine is counted where it happens:
+/// fleet serving in [`FleetStats`](crate::fleet::FleetStats), index
+/// maintenance in [`IrEngine::maintenance_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineHealthSnapshot {
-    /// Operations (queries, batches, subscription refreshes) that succeeded.
+    /// Operations (queries, batches, update batches) that succeeded.
     pub queries_ok: u64,
     /// Operations that returned an error of any kind.
     pub queries_failed: u64,
@@ -619,29 +611,6 @@ pub struct EngineHealthSnapshot {
     pub read_retries: u64,
     /// Page writes that needed at least one retry.
     pub write_retries: u64,
-    /// Drift events a [`crate::fleet::SubscriptionManager`] answered
-    /// locally from a cached region report (no I/O).
-    pub fleet_local_answers: u64,
-    /// Drift events a fleet manager answered by a batched recompute.
-    pub fleet_recomputes: u64,
-    /// Recompute batches a fleet manager flushed through
-    /// [`IrEngine::query_batch`].
-    pub fleet_batches: u64,
-    /// Work units (whole queries or single dimensions, depending on the
-    /// partition mode) this engine solved as a cluster shard node.
-    pub shard_solves: u64,
-    /// Partial-region messages this engine's shard node sent back to a
-    /// cluster coordinator.
-    pub shard_partials: u64,
-    /// Logical tuple updates applied through [`IrEngine::apply_updates`]
-    /// (and the [`IrEngine::insert`] / [`IrEngine::delete`] /
-    /// [`IrEngine::update_score`] conveniences).
-    pub updates_applied: u64,
-    /// Cached regions (standalone subscriptions or fleet members) an update
-    /// punctured, forcing a recompute.
-    pub regions_punctured: u64,
-    /// Cached regions that provably survived an update batch untouched.
-    pub regions_survived: u64,
 }
 
 impl EngineHealthSnapshot {
@@ -657,7 +626,7 @@ impl EngineHealthSnapshot {
 /// The engine holds the [`TopKIndex`] (inverted lists, tuple file, buffer
 /// pool) behind [`Arc`], so clones are cheap handles onto the same warm
 /// state and the type is `Send + Sync + Clone` with no lifetimes. See the
-/// [module docs](self) for the three call styles.
+/// [module docs](self) for the two call styles.
 #[derive(Clone)]
 pub struct IrEngine {
     index: Arc<TopKIndex>,
@@ -728,55 +697,7 @@ impl IrEngine {
             retries_exhausted: self.health.retries_exhausted.load(Ordering::Relaxed),
             read_retries: io.read_retries,
             write_retries: io.write_retries,
-            fleet_local_answers: self.health.fleet_local_answers.load(Ordering::Relaxed),
-            fleet_recomputes: self.health.fleet_recomputes.load(Ordering::Relaxed),
-            fleet_batches: self.health.fleet_batches.load(Ordering::Relaxed),
-            shard_solves: self.health.shard_solves.load(Ordering::Relaxed),
-            shard_partials: self.health.shard_partials.load(Ordering::Relaxed),
-            updates_applied: self.health.updates_applied.load(Ordering::Relaxed),
-            regions_punctured: self.health.regions_punctured.load(Ordering::Relaxed),
-            regions_survived: self.health.regions_survived.load(Ordering::Relaxed),
         }
-    }
-
-    /// Records fleet-manager traffic in the shared health counters:
-    /// `local` drift events answered from cached regions, `recomputed`
-    /// events that needed a batched refresh, and `batches` flushes through
-    /// the worker pool.
-    pub(crate) fn note_fleet_traffic(&self, local: u64, recomputed: u64, batches: u64) {
-        self.health
-            .fleet_local_answers
-            .fetch_add(local, Ordering::Relaxed);
-        self.health
-            .fleet_recomputes
-            .fetch_add(recomputed, Ordering::Relaxed);
-        self.health
-            .fleet_batches
-            .fetch_add(batches, Ordering::Relaxed);
-    }
-
-    /// Records region-survival outcomes of an update screening (standalone
-    /// subscriptions and fleet members alike) in the shared health counters.
-    pub(crate) fn note_region_survival(&self, survived: u64, punctured: u64) {
-        self.health
-            .regions_survived
-            .fetch_add(survived, Ordering::Relaxed);
-        self.health
-            .regions_punctured
-            .fetch_add(punctured, Ordering::Relaxed);
-    }
-
-    /// Records cluster shard-node traffic in the shared health counters:
-    /// `solves` work units answered and `partials` partial-region messages
-    /// sent to a coordinator. Public because the `ir-cluster` crate sits
-    /// above this one.
-    pub fn note_shard_traffic(&self, solves: u64, partials: u64) {
-        self.health
-            .shard_solves
-            .fetch_add(solves, Ordering::Relaxed);
-        self.health
-            .shard_partials
-            .fetch_add(partials, Ordering::Relaxed);
     }
 
     /// Runs one engine operation with failure containment: panics anywhere
@@ -885,10 +806,10 @@ impl IrEngine {
     }
 
     /// Prepares a full computation handle for one query: runs the top-k
-    /// phase and returns the lifetime-free [`OwnedRegionComputation`], for
-    /// callers that need the TA internals or per-dimension parallel solves
-    /// in addition to the report.
-    pub fn computation(&self, query: &QueryVector) -> EngineResult<OwnedRegionComputation> {
+    /// phase and returns the [`RegionComputation`] (which shares the
+    /// engine's index), for callers that need the TA internals or
+    /// per-dimension parallel solves in addition to the report.
+    pub fn computation(&self, query: &QueryVector) -> EngineResult<RegionComputation> {
         self.computation_with(query, self.config)
     }
 
@@ -897,7 +818,7 @@ impl IrEngine {
         &self,
         query: &QueryVector,
         config: RegionConfig,
-    ) -> EngineResult<OwnedRegionComputation> {
+    ) -> EngineResult<RegionComputation> {
         self.run_guarded("computation", || self.computation_untracked(query, config))
     }
 
@@ -908,9 +829,9 @@ impl IrEngine {
         &self,
         query: &QueryVector,
         config: RegionConfig,
-    ) -> EngineResult<OwnedRegionComputation> {
+    ) -> EngineResult<RegionComputation> {
         self.validate(query)?;
-        Ok(RegionComputation::with_ta_config_shared(
+        Ok(RegionComputation::with_ta_config(
             Arc::clone(&self.index),
             query,
             config,
@@ -964,7 +885,7 @@ impl IrEngine {
             for query in queries {
                 self.validate(query)?;
             }
-            let batch = BatchRegionComputation::new_shared(Arc::clone(&self.index), self.config)
+            let batch = BatchRegionComputation::new(Arc::clone(&self.index), self.config)
                 .with_threads(self.threads)
                 .with_ta_config(self.ta_config);
             Ok(batch.run_detailed(queries)?)
@@ -983,8 +904,8 @@ impl IrEngine {
     /// tuple, out-of-range value) rejects the batch with a typed error
     /// before any page is touched. Returns one [`AppliedUpdate`] per input
     /// (the touched tuple plus its vector before and after), which is what
-    /// [`Subscription::absorb_updates`] and the fleet manager consume to
-    /// decide which cached regions survived.
+    /// [`SubscriptionManager::revalidate`](crate::fleet::SubscriptionManager::revalidate)
+    /// consumes to decide which cached regions survived.
     ///
     /// Mutations are single-writer and not linearizable with in-flight
     /// queries: a query racing this call sees either the old or the new
@@ -1013,13 +934,7 @@ impl IrEngine {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn apply_updates(&self, updates: &[TupleUpdate]) -> EngineResult<Vec<AppliedUpdate>> {
-        self.run_guarded("apply updates", || {
-            let applied = self.index.apply_updates(updates)?;
-            self.health
-                .updates_applied
-                .fetch_add(applied.len() as u64, Ordering::Relaxed);
-            Ok(applied)
-        })
+        self.run_guarded("apply updates", || Ok(self.index.apply_updates(updates)?))
     }
 
     /// Inserts a new tuple (dense id assignment: the new tuple's id is the
@@ -1056,233 +971,6 @@ impl IrEngine {
     pub fn maintenance_stats(&self) -> MaintenanceStatsSnapshot {
         self.index.maintenance_stats()
     }
-
-    /// Subscribes a query: computes its result and regions once and returns
-    /// a [`Subscription`] that answers weight-drift questions from the
-    /// cached report, recomputing only on region exit.
-    pub fn subscribe(&self, query: QueryVector) -> EngineResult<Subscription> {
-        let (result, report) = self.run_guarded("subscribe", || {
-            let mut computation = self.computation_untracked(&query, self.config)?;
-            let report = computation.compute()?;
-            Ok((computation.result(), report))
-        })?;
-        Ok(Subscription {
-            engine: self.clone(),
-            query,
-            result,
-            report,
-            refreshes: 0,
-            cache_hits: 0,
-        })
-    }
-}
-
-/// A subscribed query (the paper's interactive weight-tuning loop): holds
-/// the last computed [`RegionReport`] and the engine handle needed to
-/// refresh it.
-///
-/// The subscription answers [`Subscription::is_immutable_under`] purely
-/// from the cached regions — no I/O, no recomputation — and
-/// [`Subscription::update`] recomputes only when the drifted weights
-/// actually leave the reported immutable region.
-pub struct Subscription {
-    engine: IrEngine,
-    query: QueryVector,
-    result: TopKResult,
-    report: RegionReport,
-    refreshes: u64,
-    cache_hits: u64,
-}
-
-impl fmt::Debug for Subscription {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Subscription")
-            .field("query", &self.query)
-            .field("result", &self.result.ids())
-            .field("refreshes", &self.refreshes)
-            .field("cache_hits", &self.cache_hits)
-            .finish()
-    }
-}
-
-impl Subscription {
-    /// The currently subscribed query (the anchor the cached regions are
-    /// relative to).
-    pub fn query(&self) -> &QueryVector {
-        &self.query
-    }
-
-    /// The cached top-k result of the subscribed query.
-    pub fn result(&self) -> &TopKResult {
-        &self.result
-    }
-
-    /// The cached region report of the subscribed query.
-    pub fn report(&self) -> &RegionReport {
-        &self.report
-    }
-
-    /// How many times [`Subscription::update`] recomputed.
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes
-    }
-
-    /// How many times [`Subscription::update`] was served from the cached
-    /// regions.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Decides — locally, from the cached report — whether the result is
-    /// guaranteed unchanged under `new_weights`.
-    ///
-    /// `true` requires that `new_weights` deviates from the subscribed
-    /// query in **at most one** dimension (the paper's model: one slider
-    /// moves while the others stay), with that deviation strictly inside
-    /// the dimension's immutable region. Everything else — a changed `k`,
-    /// several deviating weights, a new query dimension, a deviation at or
-    /// past a region boundary — returns `false`, which is the conservative
-    /// answer: the caller recomputes and never serves a stale result.
-    pub fn is_immutable_under(&self, new_weights: &QueryVector) -> bool {
-        immutable_under(&self.query, &self.report, new_weights)
-    }
-
-    /// Drives the subscription to `new_weights`: a no-op returning
-    /// `Ok(false)` while the weights stay inside the reported region, a
-    /// recompute (re-anchoring the subscription at `new_weights`) returning
-    /// `Ok(true)` once they leave it.
-    /// A failed refresh (fault, contained panic) leaves the subscription
-    /// anchored at its previous query with the previous cached report — the
-    /// caller can retry `update` once the device heals.
-    pub fn update(&mut self, new_weights: &QueryVector) -> EngineResult<bool> {
-        if self.is_immutable_under(new_weights) {
-            self.cache_hits += 1;
-            return Ok(false);
-        }
-        let engine = &self.engine;
-        let (result, report) = engine.run_guarded("subscription refresh", || {
-            let mut computation = engine.computation_untracked(new_weights, engine.config)?;
-            let report = computation.compute()?;
-            Ok((computation.result(), report))
-        })?;
-        self.report = report;
-        self.result = result;
-        self.query = new_weights.clone();
-        self.refreshes += 1;
-        Ok(true)
-    }
-
-    /// Maintains the subscription across a batch of applied data updates
-    /// (the return value of [`IrEngine::apply_updates`]): screens each
-    /// update with the kinetic line test
-    /// ([`ir_core::invalidate::update_impact`]) and recomputes — at the
-    /// same anchor query — only if some update punctures the cached
-    /// regions. Returns `Ok(true)` when a recompute happened.
-    ///
-    /// Survival is a proof: when this returns `Ok(false)` the cached report
-    /// is byte-identical to what a full recompute on the mutated dataset
-    /// would produce. A failed recompute (fault, contained panic) leaves
-    /// the cached report in place and the error surfaces — retry once the
-    /// device heals; the screening is deterministic and will puncture
-    /// again.
-    pub fn absorb_updates(&mut self, applied: &[AppliedUpdate]) -> EngineResult<bool> {
-        let mut punctured = false;
-        for update in applied {
-            let impact = ir_core::invalidate::update_impact(
-                &self.query,
-                &self.report,
-                update.tuple,
-                &update.old_vector,
-                &update.new_vector,
-                |id| self.engine.index.fetch_tuple(id),
-            )
-            .map_err(EngineError::Core)?;
-            if !impact.survived() {
-                punctured = true;
-                break;
-            }
-        }
-        if !punctured {
-            self.engine.note_region_survival(1, 0);
-            return Ok(false);
-        }
-        self.engine.note_region_survival(0, 1);
-        let engine = &self.engine;
-        let query = &self.query;
-        let (result, report) = engine.run_guarded("subscription update absorb", || {
-            let mut computation = engine.computation_untracked(query, engine.config)?;
-            let report = computation.compute()?;
-            Ok((computation.result(), report))
-        })?;
-        self.result = result;
-        self.report = report;
-        self.refreshes += 1;
-        Ok(true)
-    }
-}
-
-/// The local immutability check shared by [`Subscription`] and the
-/// subscription fleet ([`crate::fleet::SubscriptionManager`]): is the
-/// result anchored at `anchor` (with cached `report`) guaranteed unchanged
-/// under `new_weights`?
-///
-/// Allocation-free: the two sparse weight vectors are merge-walked in one
-/// pass over their sorted entry slices — this runs once per drift event
-/// across a fleet of millions, so it must not touch the heap.
-pub(crate) fn immutable_under(
-    anchor: &QueryVector,
-    report: &RegionReport,
-    new_weights: &QueryVector,
-) -> bool {
-    if new_weights.k() != anchor.k() {
-        return false;
-    }
-    let a = anchor.weights().entries();
-    let b = new_weights.weights().entries();
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut deviation: Option<(DimId, f64)> = None;
-    loop {
-        // delta = new - old; a dimension absent from a vector weighs 0.
-        let (dim, delta) = match (a.get(i), b.get(j)) {
-            (None, None) => break,
-            (Some(&(dim, old)), None) => {
-                i += 1;
-                (dim, -old)
-            }
-            (None, Some(&(dim, new))) => {
-                j += 1;
-                (dim, new)
-            }
-            (Some(&(da, old)), Some(&(db, new))) => {
-                if da < db {
-                    i += 1;
-                    (da, -old)
-                } else if db < da {
-                    j += 1;
-                    (db, new)
-                } else {
-                    i += 1;
-                    j += 1;
-                    (da, new - old)
-                }
-            }
-        };
-        if delta != 0.0 {
-            if deviation.is_some() {
-                return false;
-            }
-            deviation = Some((dim, delta));
-        }
-    }
-    match deviation {
-        None => true,
-        Some((dim, delta)) => match report.for_dim(dim) {
-            // Strict interior: at the boundary itself the perturbation
-            // occurs, so boundary hits count as exits.
-            Some(regions) => regions.immutable.lo < delta && delta < regions.immutable.hi,
-            None => false,
-        },
-    }
 }
 
 #[cfg(test)]
@@ -1309,51 +997,6 @@ mod tests {
         let d0 = report.for_dim(DimId(0)).unwrap();
         assert!((d0.immutable.lo + 16.0 / 35.0).abs() < 1e-9);
         assert!((d0.immutable.hi - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn subscription_serves_drift_inside_region_from_cache() {
-        let engine = engine();
-        let query = QueryVector::running_example();
-        let mut subscription = engine.subscribe(query.clone()).unwrap();
-        assert_eq!(
-            subscription.result().ids(),
-            vec![TupleId(1), TupleId(0)],
-            "running example top-2"
-        );
-
-        // Inside IR_1 = (-16/35, 0.1): cache hit, no recompute.
-        let inside = query.with_weight_shift(DimId(0), 0.05).unwrap();
-        assert!(subscription.is_immutable_under(&inside));
-        assert!(!subscription.update(&inside).unwrap());
-        assert_eq!(subscription.cache_hits(), 1);
-        assert_eq!(subscription.refreshes(), 0);
-
-        // Past the upper boundary at +0.1: recompute and re-anchor.
-        let outside = query.with_weight_shift(DimId(0), 0.15).unwrap();
-        assert!(!subscription.is_immutable_under(&outside));
-        assert!(subscription.update(&outside).unwrap());
-        assert_eq!(subscription.refreshes(), 1);
-        assert_eq!(
-            subscription.result().ids(),
-            vec![TupleId(0), TupleId(1)],
-            "crossing +0.1 swaps d1 and d2"
-        );
-        assert!((subscription.query().weight(DimId(0)) - 0.95).abs() < 1e-12);
-    }
-
-    #[test]
-    fn multi_dimension_drift_is_conservative() {
-        let engine = engine();
-        let query = QueryVector::running_example();
-        let subscription = engine.subscribe(query.clone()).unwrap();
-        // Both weights move a hair — per-dimension regions don't compose,
-        // so the subscription must not claim immutability.
-        let both = QueryVector::new([(0, 0.81), (1, 0.51)], 2).unwrap();
-        assert!(!subscription.is_immutable_under(&both));
-        // A changed k is never immutable either.
-        let other_k = query.with_k(1).unwrap();
-        assert!(!subscription.is_immutable_under(&other_k));
     }
 
     #[test]
@@ -1618,44 +1261,14 @@ mod tests {
             [TupleId(1), TupleId(0)]
         );
 
-        let health = engine.health();
-        assert_eq!(health.updates_applied, 3);
+        assert_eq!(engine.maintenance_stats().updates_applied, 3);
         assert!(engine.maintenance_stats().pages_written > 0);
         // A malformed update is a typed failure and applies nothing.
         assert!(engine.delete(TupleId(99)).is_err());
-        assert_eq!(engine.health().updates_applied, 3);
-    }
-
-    #[test]
-    fn subscription_absorbs_surviving_updates_without_recompute() {
-        let engine = engine();
-        let mut subscription = engine.subscribe(QueryVector::running_example()).unwrap();
-
-        // A low-scoring insert cannot threaten the top-2: no recompute, and
-        // the cached report must equal a recompute on the mutated data.
-        let applied = engine
-            .apply_updates(&[ir_types::TupleUpdate::Insert {
-                vector: SparseVector::from_pairs([(0, 0.05), (1, 0.05)]).unwrap(),
-            }])
-            .unwrap();
-        assert!(!subscription.absorb_updates(&applied).unwrap());
-        assert_eq!(subscription.refreshes(), 0);
-        let oracle = engine.query(&QueryVector::running_example()).unwrap();
-        assert_eq!(subscription.report().dims, oracle.dims);
-
-        // Deleting a result member must puncture and re-anchor.
-        let applied = engine.apply_updates(&[ir_types::TupleUpdate::Delete { tuple: TupleId(1) }]);
-        let applied = applied.unwrap();
-        assert!(subscription.absorb_updates(&applied).unwrap());
-        assert_eq!(subscription.refreshes(), 1);
-        let oracle = engine.query(&QueryVector::running_example()).unwrap();
-        assert_eq!(subscription.report().dims, oracle.dims);
-        assert_eq!(subscription.result().ids(), oracle.current_result());
-
+        assert_eq!(engine.maintenance_stats().updates_applied, 3);
+        // Three queries and three single-update batches succeeded.
         let health = engine.health();
-        assert_eq!(health.regions_survived, 1);
-        assert_eq!(health.regions_punctured, 1);
-        assert_eq!(health.updates_applied, 2);
+        assert_eq!((health.queries_ok, health.queries_failed), (6, 1));
     }
 
     #[test]

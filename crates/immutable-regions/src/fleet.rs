@@ -14,9 +14,12 @@
 //!   flushed through [`IrEngine::query_batch`] in chunks, ordered by a
 //!   heat-weighted scheduler (see below) so hot subscriptions re-anchor
 //!   first.
-//! * Every flush and local answer is recorded in the engine's shared
-//!   health counters ([`crate::engine::EngineHealthSnapshot`]'s `fleet_*` fields) and in
-//!   the manager's own [`FleetStats`].
+//! * Every flush and local answer is recorded in the manager's
+//!   [`FleetStats`].
+//!
+//! A one-member manager is the plain subscribed query of the paper's
+//! interactive loop: [`SubscriptionManager::admit`] one query, then
+//! [`SubscriptionManager::ingest`] its weight changes.
 //!
 //! # Correctness model
 //!
@@ -63,11 +66,11 @@
 //! managers share one engine, the mutating one forwards the returned
 //! [`AppliedUpdate`]s to its peers' [`SubscriptionManager::revalidate`].
 
-use crate::engine::{immutable_under, EngineError, EngineResult, IrEngine};
+use crate::engine::{EngineError, EngineResult, IrEngine};
 use ir_core::{update_impact, RegionReport, UpdateImpact};
 use ir_datagen::DriftEvent;
 use ir_storage::AppliedUpdate;
-use ir_types::{QueryVector, SeededLcg, TupleId, TupleUpdate};
+use ir_types::{DimId, QueryVector, SeededLcg, TupleId, TupleUpdate};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -422,7 +425,6 @@ impl SubscriptionManager {
             if !entry.stale && immutable_under(&entry.anchor, &entry.report, &entry.current) {
                 entry.cache_hits += 1;
                 self.stats.local_answers += 1;
-                self.engine.note_fleet_traffic(1, 0, 0);
                 self.ready.push(FleetAnswer {
                     seq,
                     sub: event.sub,
@@ -478,9 +480,7 @@ impl SubscriptionManager {
     /// weights through an invalidation job, flushed synchronously before
     /// this method returns. Screening that cannot complete (a device fault
     /// mid-fetch) conservatively punctures — survival must be proven.
-    /// Survival and puncture counts land in [`FleetStats`] and the
-    /// engine's shared `regions_survived` / `regions_punctured` health
-    /// counters.
+    /// Survival and puncture counts land in [`FleetStats`].
     ///
     /// On a failed flush the punctured members stay stale — they answer
     /// every drift event by recompute, never from the stale cache — and
@@ -519,8 +519,6 @@ impl SubscriptionManager {
         }
         self.stats.regions_survived += survived;
         self.stats.regions_punctured += punctured.len() as u64;
-        self.engine
-            .note_region_survival(survived, punctured.len() as u64);
         for (sub, weights) in punctured {
             let seq = self.next_seq;
             self.next_seq += 1;
@@ -581,11 +579,6 @@ impl SubscriptionManager {
 
             self.stats.batches += 1;
             self.stats.largest_batch = self.stats.largest_batch.max(reports.len() as u64);
-            let drift_jobs = chunk
-                .iter()
-                .filter(|&&i| jobs[i].kind == JobKind::Drift)
-                .count() as u64;
-            self.engine.note_fleet_traffic(0, drift_jobs, 1);
             // Apply in event order within the chunk so a subscription hit
             // twice is left anchored at its latest weights.
             let mut applied: Vec<(usize, RegionReport)> = chunk.into_iter().zip(reports).collect();
@@ -639,6 +632,72 @@ impl SubscriptionManager {
             order.push(list.draw(&mut rng));
         }
         order
+    }
+}
+
+/// The local immutability check: is the result anchored at `anchor` (with
+/// cached `report`) guaranteed unchanged under `new_weights`?
+///
+/// `true` requires that `new_weights` deviates from the anchor in **at most
+/// one** dimension (the paper's model: one slider moves while the others
+/// stay), with that deviation strictly inside the dimension's immutable
+/// region. Everything else — a changed `k`, several deviating weights, a new
+/// query dimension, a deviation at or past a region boundary — returns
+/// `false`, the conservative answer: the caller recomputes and never serves
+/// a stale result.
+///
+/// Allocation-free: the two sparse weight vectors are merge-walked in one
+/// pass over their sorted entry slices — this runs once per drift event
+/// across a fleet of millions, so it must not touch the heap.
+fn immutable_under(anchor: &QueryVector, report: &RegionReport, new_weights: &QueryVector) -> bool {
+    if new_weights.k() != anchor.k() {
+        return false;
+    }
+    let a = anchor.weights().entries();
+    let b = new_weights.weights().entries();
+    let (mut i, mut j) = (0usize, 0usize);
+    let mut deviation: Option<(DimId, f64)> = None;
+    loop {
+        // delta = new - old; a dimension absent from a vector weighs 0.
+        let (dim, delta) = match (a.get(i), b.get(j)) {
+            (None, None) => break,
+            (Some(&(dim, old)), None) => {
+                i += 1;
+                (dim, -old)
+            }
+            (None, Some(&(dim, new))) => {
+                j += 1;
+                (dim, new)
+            }
+            (Some(&(da, old)), Some(&(db, new))) => {
+                if da < db {
+                    i += 1;
+                    (da, -old)
+                } else if db < da {
+                    j += 1;
+                    (db, new)
+                } else {
+                    i += 1;
+                    j += 1;
+                    (da, new - old)
+                }
+            }
+        };
+        if delta != 0.0 {
+            if deviation.is_some() {
+                return false;
+            }
+            deviation = Some((dim, delta));
+        }
+    }
+    match deviation {
+        None => true,
+        Some((dim, delta)) => match report.for_dim(dim) {
+            // Strict interior: at the boundary itself the perturbation
+            // occurs, so boundary hits count as exits.
+            Some(regions) => regions.immutable.lo < delta && delta < regions.immutable.hi,
+            None => false,
+        },
     }
 }
 
@@ -807,12 +866,6 @@ mod tests {
         assert!(stats.largest_batch <= manager.config().max_batch as u64);
         assert_eq!(manager.pending_recomputes(), 0);
 
-        // The engine's shared health counters saw the same traffic.
-        let health = engine.health();
-        assert_eq!(health.fleet_local_answers, stats.local_answers);
-        assert_eq!(health.fleet_recomputes, stats.recomputes);
-        assert_eq!(health.fleet_batches, stats.batches);
-
         // Per-member accounting sums to the fleet totals.
         let hits: u64 = manager.members().map(|m| m.cache_hits()).sum();
         let refreshes: u64 = manager.members().map(|m| m.refreshes()).sum();
@@ -929,11 +982,8 @@ mod tests {
             assert!(!member.result().contains(&victim));
         }
 
-        // The engine's shared health counters mirror the fleet's.
-        let health = engine.health();
-        assert_eq!(health.updates_applied, 2);
-        assert_eq!(health.regions_survived, stats.regions_survived);
-        assert_eq!(health.regions_punctured, stats.regions_punctured);
+        // The index counted the same updates the manager applied.
+        assert_eq!(engine.maintenance_stats().updates_applied, 2);
     }
 
     #[test]
@@ -1129,6 +1179,97 @@ mod tests {
         assert_eq!(again[0].kind, AnswerKind::Local);
         let stats = manager.stats();
         assert_eq!(stats.local_answers + stats.recomputes, stats.events);
+    }
+
+    /// A one-member fleet over the paper's running example.
+    fn running_example_fleet() -> (IrEngine, SubscriptionManager) {
+        let engine = IrEngine::builder()
+            .dataset(Dataset::running_example())
+            .build()
+            .unwrap();
+        let mut manager = SubscriptionManager::new(&engine, FleetConfig::default()).unwrap();
+        manager.admit(0, QueryVector::running_example()).unwrap();
+        (engine, manager)
+    }
+
+    #[test]
+    fn subscription_serves_drift_inside_region_from_cache() {
+        let (_engine, mut manager) = running_example_fleet();
+        assert_eq!(
+            manager.member(0).unwrap().result(),
+            [TupleId(1), TupleId(0)],
+            "running example top-2"
+        );
+        let drift = |delta| DriftEvent {
+            sub: 0,
+            dim: DimId(0),
+            delta,
+        };
+
+        // Inside IR_1 = (-16/35, 0.1): cache hit, no recompute.
+        let inside = manager.ingest(&[drift(0.05)]).unwrap();
+        assert_eq!(inside[0].kind, AnswerKind::Local);
+        let member = manager.member(0).unwrap();
+        assert_eq!((member.cache_hits(), member.refreshes()), (1, 0));
+
+        // Past the upper boundary at +0.1 (cumulative +0.15): recompute and
+        // re-anchor.
+        let outside = manager.ingest(&[drift(0.10)]).unwrap();
+        assert_eq!(outside[0].kind, AnswerKind::Recomputed);
+        assert_eq!(
+            outside[0].result,
+            [TupleId(0), TupleId(1)],
+            "crossing +0.1 swaps d1 and d2"
+        );
+        let member = manager.member(0).unwrap();
+        assert_eq!(member.refreshes(), 1);
+        assert!((member.anchor().weight(DimId(0)) - 0.95).abs() < 1e-12);
+    }
+
+    #[test]
+    fn multi_dimension_drift_is_conservative() {
+        let (engine, _manager) = running_example_fleet();
+        let query = QueryVector::running_example();
+        let report = engine.query(&query).unwrap();
+        let inside = query.with_weight_shift(DimId(0), 0.05).unwrap();
+        assert!(immutable_under(&query, &report, &inside));
+        // Both weights move a hair — per-dimension regions don't compose,
+        // so immutability must not be claimed.
+        let both = QueryVector::new([(0, 0.81), (1, 0.51)], 2).unwrap();
+        assert!(!immutable_under(&query, &report, &both));
+        // A changed k is never immutable either.
+        let other_k = query.with_k(1).unwrap();
+        assert!(!immutable_under(&query, &report, &other_k));
+    }
+
+    #[test]
+    fn subscription_absorbs_surviving_updates_without_recompute() {
+        let (engine, mut manager) = running_example_fleet();
+        let query = QueryVector::running_example();
+
+        // A low-scoring insert cannot threaten the top-2: the report
+        // survives, and it must equal a recompute on the mutated data.
+        manager
+            .apply_updates(&[TupleUpdate::Insert {
+                vector: ir_types::SparseVector::from_pairs([(0, 0.05), (1, 0.05)]).unwrap(),
+            }])
+            .unwrap();
+        assert_eq!(manager.stats().regions_survived, 1);
+        let oracle = engine.query(&query).unwrap();
+        assert_eq!(manager.member(0).unwrap().report().dims, oracle.dims);
+
+        // Deleting a result member must puncture and re-anchor.
+        manager
+            .apply_updates(&[TupleUpdate::Delete { tuple: TupleId(1) }])
+            .unwrap();
+        let stats = manager.stats();
+        assert_eq!((stats.regions_survived, stats.regions_punctured), (1, 1));
+        let oracle = engine.query(&query).unwrap();
+        let member = manager.member(0).unwrap();
+        assert_eq!(member.report().dims, oracle.dims);
+        assert_eq!(member.result(), oracle.current_result());
+        assert_eq!(stats.updates_applied, 2);
+        assert_eq!(engine.maintenance_stats().updates_applied, 2);
     }
 
     #[test]

@@ -21,15 +21,16 @@
 //! | top-k | [`topk`] | the resumable random-access Threshold Algorithm |
 //! | regions | [`core`] | Scan / Prune / Thres / CPT, `φ ≥ 0`, oracle, parallel driver |
 //! | workloads | [`datagen`] | WSJ-like, KB-like and ST dataset generators |
-//! | serving | [`engine`] | [`IrEngine`](engine::IrEngine): owned façade, batches, subscriptions, tuple updates |
-//! | fleet | [`fleet`] | [`SubscriptionManager`](fleet::SubscriptionManager): many live subscriptions, batched recomputes, region revalidation under updates |
+//! | serving | [`engine`] | [`IrEngine`](engine::IrEngine): owned façade, batches, tuple updates |
+//! | fleet | [`fleet`] | [`SubscriptionManager`](fleet::SubscriptionManager): live subscriptions (one or many), batched recomputes, region revalidation under updates |
 //!
 //! ## Quickstart
 //!
 //! [`engine::IrEngine`] is the front door: an owned, `Send + Sync + Clone`
 //! handle that holds the index and warm buffer pool and serves one-off
-//! queries, batches over a worker pool, and subscriptions that recompute
-//! only when drifting weights leave the reported region.
+//! queries and batches over a worker pool. Subscriptions that recompute
+//! only when drifting weights leave the reported region are served by a
+//! [`fleet::SubscriptionManager`] on top of it.
 //!
 //! ```
 //! use immutable_regions::prelude::*;
@@ -47,16 +48,19 @@
 //! assert!((dim0.immutable.lo + 16.0 / 35.0).abs() < 1e-9);
 //! assert!((dim0.immutable.hi - 0.1).abs() < 1e-9);
 //!
-//! // The subscribed-query loop: drift inside the region is answered from
-//! // the cached report, drift outside triggers one recompute.
-//! let mut subscription = engine.subscribe(query.clone())?;
-//! let drifted = query.with_weight_shift(DimId(0), 0.05)?;
-//! assert!(subscription.is_immutable_under(&drifted));
+//! // The subscribed-query loop is a one-member fleet: drift inside the
+//! // region is answered from the cached report, drift outside triggers one
+//! // recompute.
+//! let mut fleet = SubscriptionManager::new(&engine, FleetConfig::default())?;
+//! fleet.admit(0, query)?;
+//! let answers = fleet.ingest(&[DriftEvent { sub: 0, dim: DimId(0), delta: 0.05 }])?;
+//! assert_eq!(answers[0].kind, AnswerKind::Local);
 //! # Ok::<(), immutable_regions::engine::EngineError>(())
 //! ```
 //!
-//! The borrow-based low-level API ([`core::RegionComputation`]) remains
-//! available for callers that manage index lifetimes themselves.
+//! The low-level API ([`core::RegionComputation`], which shares an
+//! `Arc<TopKIndex>`) remains available for callers that assemble the index
+//! themselves.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,15 +79,15 @@ pub use ir_types as types;
 pub mod prelude {
     pub use crate::engine::{
         ClusterTopology, EngineError, EngineHealthSnapshot, EnginePolicy, EngineResult, IrEngine,
-        IrEngineBuilder, PartitionMode, Subscription,
+        IrEngineBuilder, PartitionMode,
     };
     pub use crate::fleet::{
         AnswerKind, FleetAnswer, FleetConfig, FleetMember, FleetStats, SubscriptionManager,
     };
     pub use ir_core::{
         update_impact, Algorithm, BatchOutcome, BatchRegionComputation, ComputationStats,
-        DimRegions, ExhaustiveOracle, OwnedRegionComputation, Perturbation, RegionBoundary,
-        RegionComputation, RegionConfig, RegionReport, UpdateImpact, WeightRegion,
+        DimRegions, ExhaustiveOracle, Perturbation, RegionBoundary, RegionComputation,
+        RegionConfig, RegionReport, UpdateImpact, WeightRegion,
     };
     pub use ir_datagen::{
         CorrelatedConfig, CorrelatedGenerator, FeatureConfig, FeatureVectorGenerator,

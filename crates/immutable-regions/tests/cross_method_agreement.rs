@@ -7,6 +7,7 @@ use immutable_regions::prelude::*;
 use ir_core::config::PerturbationMode;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// A small random dataset with mixed sparsity (some tuples touch every
 /// dimension, some only one) so that all three candidate partitions occur.
@@ -52,7 +53,7 @@ fn all_algorithms_agree_with_each_other_and_the_oracle() {
         let dims = rng.gen_range(3..7);
         let n = rng.gen_range(30..120);
         let dataset = random_dataset(&mut rng, n, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let k = rng.gen_range(1..6);
         let qlen = rng.gen_range(2..=dims.min(4)) as usize;
         let query = random_query(&mut rng, dims, qlen, k);
@@ -61,7 +62,8 @@ fn all_algorithms_agree_with_each_other_and_the_oracle() {
         let mut reference: Option<RegionReport> = None;
         for algorithm in Algorithm::ALL {
             let mut computation =
-                RegionComputation::new(&index, &query, RegionConfig::flat(algorithm)).unwrap();
+                RegionComputation::new(index.clone(), &query, RegionConfig::flat(algorithm))
+                    .unwrap();
             let report = computation.compute().unwrap();
             // Against the oracle.
             for dim_regions in &report.dims {
@@ -100,12 +102,12 @@ fn composition_only_mode_agrees_with_the_oracle() {
     for _ in 0..8 {
         let dims = rng.gen_range(3..6);
         let dataset = random_dataset(&mut rng, 60, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let query = random_query(&mut rng, dims, 2, 3);
         let oracle = ExhaustiveOracle::new(&dataset, query.clone());
         for algorithm in [Algorithm::Scan, Algorithm::Cpt] {
             let mut computation = RegionComputation::new(
-                &index,
+                index.clone(),
                 &query,
                 RegionConfig::flat(algorithm).composition_only(),
             )
@@ -133,12 +135,13 @@ fn pruning_and_thresholding_never_evaluate_more_than_scan() {
     for _ in 0..6 {
         let dims = rng.gen_range(4..8);
         let dataset = random_dataset(&mut rng, 150, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let query = random_query(&mut rng, dims, 3, 5);
 
         let evaluated = |algorithm: Algorithm| {
             let mut computation =
-                RegionComputation::new(&index, &query, RegionConfig::flat(algorithm)).unwrap();
+                RegionComputation::new(index.clone(), &query, RegionConfig::flat(algorithm))
+                    .unwrap();
             computation.compute().unwrap().stats.evaluated_candidates
         };
         let scan = evaluated(Algorithm::Scan);

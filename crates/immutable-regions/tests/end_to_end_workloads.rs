@@ -7,16 +7,18 @@
 use immutable_regions::prelude::*;
 use ir_core::partition::Partition;
 use ir_datagen::queries::DimSelection;
+use std::sync::Arc;
 
 fn run_workload(dataset: &Dataset, workload: &QueryWorkload) -> Vec<(Algorithm, u64)> {
-    let index = TopKIndex::build_in_memory(dataset).unwrap();
+    let index = Arc::new(TopKIndex::build_in_memory(dataset).unwrap());
     let mut totals = Vec::new();
     for algorithm in Algorithm::ALL {
         let mut evaluated = 0u64;
         let mut regions: Vec<Vec<(f64, f64)>> = Vec::new();
         for query in workload.iter() {
             let mut computation =
-                RegionComputation::new(&index, query, RegionConfig::flat(algorithm)).unwrap();
+                RegionComputation::new(index.clone(), query, RegionConfig::flat(algorithm))
+                    .unwrap();
             let report = computation.compute().unwrap();
             evaluated += report.stats.evaluated_candidates;
             regions.push(
@@ -148,7 +150,7 @@ fn candidate_partition_structure_matches_figure_6() {
         zipf_exponent: 1.0,
     })
     .generate_corpus(9);
-    let text_index = TopKIndex::build_in_memory(&text).unwrap();
+    let text_index = Arc::new(TopKIndex::build_in_memory(&text).unwrap());
     // The paper selects query terms uniformly at random from the (huge)
     // vocabulary; with popularity-biased terms the co-occurrence rate would
     // be artificially high and C^L would not be small. At this smoke scale a
@@ -173,7 +175,7 @@ fn candidate_partition_structure_matches_figure_6() {
     .queries()[0]
         .clone();
     let text_rc =
-        RegionComputation::new(&text_index, &text_query, RegionConfig::default()).unwrap();
+        RegionComputation::new(text_index.clone(), &text_query, RegionConfig::default()).unwrap();
     let entries = text_rc.ta().candidates().entries().to_vec();
     assert!(!entries.is_empty());
     let p = Partition::classify(&entries, 0);
@@ -190,9 +192,10 @@ fn candidate_partition_structure_matches_figure_6() {
         correlation: 0.5,
     })
     .generate_dataset(9);
-    let st_index = TopKIndex::build_in_memory(&st).unwrap();
+    let st_index = Arc::new(TopKIndex::build_in_memory(&st).unwrap());
     let st_query = QueryVector::new([(0, 1.0), (3, 1.0), (6, 1.0), (9, 1.0)], 10).unwrap();
-    let st_rc = RegionComputation::new(&st_index, &st_query, RegionConfig::default()).unwrap();
+    let st_rc =
+        RegionComputation::new(st_index.clone(), &st_query, RegionConfig::default()).unwrap();
     let st_entries = st_rc.ta().candidates().entries().to_vec();
     assert!(!st_entries.is_empty());
     let sp = Partition::classify(&st_entries, 0).sizes();

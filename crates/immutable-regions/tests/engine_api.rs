@@ -2,18 +2,19 @@
 //!
 //! * typed error paths — malformed requests come back as the right
 //!   [`EngineError`] variant, never a panic,
-//! * batch parity — `IrEngine::query_batch` output equals the borrow-based
+//! * batch parity — `IrEngine::query_batch` output equals the low-level
 //!   sequential oracle (`RegionComputation::new` + `compute`) for every
 //!   worker count, regions *and* deterministic counters,
 //! * subscription soundness — a proptest sweep of weight perturbations
-//!   inside and outside the reported region checks that
-//!   `Subscription::is_immutable_under` always agrees with a fresh
-//!   recompute.
+//!   inside and outside the reported region checks that a one-member
+//!   `SubscriptionManager` answers locally exactly when a fresh recompute
+//!   returns the cached result.
 
 use immutable_regions::prelude::*;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 fn build_dataset(seed: u64, n: usize, dims: u32) -> Dataset {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -87,8 +88,9 @@ fn k_larger_than_dataset_is_a_typed_error() {
         engine.query_batch(std::slice::from_ref(&query)),
         Err(EngineError::KTooLarge { .. })
     ));
+    let mut manager = SubscriptionManager::new(&engine, FleetConfig::default()).unwrap();
     assert!(matches!(
-        engine.subscribe(query),
+        manager.admit(0, query),
         Err(EngineError::KTooLarge { .. })
     ));
 }
@@ -226,7 +228,7 @@ fn engine_error_display_is_informative() {
 
 /// The engine's batch path must reproduce the pre-refactor sequential
 /// oracle — a plain `RegionComputation::new` + `compute` loop over the
-/// borrow-based API — for every worker count: same regions, same
+/// low-level API — for every worker count: same regions, same
 /// deterministic counters (evaluated candidates, logical reads, memory).
 #[test]
 fn batch_output_matches_borrowed_sequential_oracle_for_every_worker_count() {
@@ -239,12 +241,12 @@ fn batch_output_matches_borrowed_sequential_oracle_for_every_worker_count() {
         RegionConfig::with_phi(Algorithm::Prune, 2),
         RegionConfig::flat(Algorithm::Scan).composition_only(),
     ] {
-        // Pre-refactor oracle: hand-assembled index, borrowed lifetimes.
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        // Pre-refactor oracle: hand-assembled index, low-level API.
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let oracle: Vec<RegionReport> = queries
             .iter()
             .map(|query| {
-                let mut computation = RegionComputation::new(&index, query, config).unwrap();
+                let mut computation = RegionComputation::new(index.clone(), query, config).unwrap();
                 computation.compute().unwrap()
             })
             .collect();
@@ -288,9 +290,9 @@ fn batch_output_matches_borrowed_sequential_oracle_for_every_worker_count() {
 fn single_query_matches_borrowed_path_exactly() {
     let dataset = Dataset::running_example();
     let query = QueryVector::running_example();
-    let index = TopKIndex::build_in_memory(&dataset).unwrap();
+    let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
     let mut low_level =
-        RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
+        RegionComputation::new(index.clone(), &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
     let expected = low_level.compute().unwrap();
 
     let engine = IrEngine::builder()
@@ -313,9 +315,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12).with_seed(0x5AB5_C21B))]
 
     /// Sweep single-dimension weight perturbations both inside the reported
-    /// immutable region and into the adjacent (φ = 1) regions:
-    /// `is_immutable_under` must claim immutability exactly when a fresh
-    /// recompute returns the cached ordered result.
+    /// immutable region and into the adjacent (φ = 1) regions, each probe
+    /// sent to a fresh one-member fleet: the probe must be answered locally
+    /// exactly when a fresh recompute returns the cached ordered result.
     #[test]
     fn subscription_agrees_with_fresh_recompute(
         seed in 0u64..5_000,
@@ -332,10 +334,25 @@ proptest! {
             .build()
             .unwrap();
         let query = build_queries(seed, dims, 1, k).pop().unwrap();
-        let subscription = engine.subscribe(query.clone()).unwrap();
-        let cached_ids = subscription.result().ids();
+        let fresh_fleet = || {
+            let mut manager = SubscriptionManager::new(&engine, FleetConfig::default()).unwrap();
+            manager.admit(0, query.clone()).unwrap();
+            manager
+        };
+        let probe = |dim, delta| {
+            let mut answers = fresh_fleet()
+                .ingest(&[DriftEvent { sub: 0, dim, delta }])
+                .unwrap();
+            prop_assert_eq!(answers.len(), 1);
+            Ok(answers.pop().unwrap())
+        };
+        let (dims_report, cached_ids) = {
+            let manager = fresh_fleet();
+            let member = manager.member(0).unwrap();
+            (member.report().dims.clone(), member.result().to_vec())
+        };
 
-        for dim_regions in subscription.report().dims.clone() {
+        for dim_regions in dims_report {
             let dim = dim_regions.dim;
             let immutable = dim_regions.immutable;
 
@@ -346,23 +363,29 @@ proptest! {
                 && delta < immutable.hi - 1e-9
                 && shifted_weight > 1e-9;
             if clear_of_bounds {
-                let inside = query.with_weight_shift(dim, delta).unwrap();
-                prop_assert!(
-                    subscription.is_immutable_under(&inside),
-                    "dim {dim:?}, delta {delta} inside {immutable:?}"
+                let answer = probe(dim, delta)?;
+                prop_assert_eq!(
+                    answer.kind,
+                    AnswerKind::Local,
+                    "dim {:?}, delta {} inside {:?}",
+                    dim,
+                    delta,
+                    immutable
                 );
+                let inside = query.with_weight_shift(dim, delta).unwrap();
                 let fresh = engine.computation(&inside).unwrap();
                 prop_assert_eq!(
-                    fresh.result().ids(),
-                    cached_ids.clone(),
-                    "inside the region the fresh result must equal the cache"
+                    &answer.result,
+                    &fresh.result().ids(),
+                    "inside the region the local answer must equal a fresh recompute"
                 );
+                prop_assert_eq!(&answer.result, &cached_ids);
             }
 
             // Outside probes: the midpoint of each adjacent region. The
             // report records the exact result there, so the check is
-            // epsilon-free: not immutable, and the fresh recompute returns
-            // the adjacent region's result, not the cached one.
+            // epsilon-free: answered by recompute, with the adjacent
+            // region's result, not the cached one.
             for (i, region) in dim_regions.regions.iter().enumerate() {
                 if i == dim_regions.current_region || region.width() < 1e-6 {
                     continue;
@@ -372,19 +395,22 @@ proptest! {
                 if shifted_weight <= 1e-9 || shifted_weight >= 1.0 - 1e-9 {
                     continue;
                 }
-                let outside = query.with_weight_shift(dim, delta).unwrap();
-                prop_assert!(
-                    !subscription.is_immutable_under(&outside),
-                    "dim {dim:?}, delta {delta} outside {immutable:?}"
-                );
-                let fresh = engine.computation(&outside).unwrap();
+                let answer = probe(dim, delta)?;
                 prop_assert_eq!(
-                    fresh.result().ids(),
-                    region.result.clone(),
+                    answer.kind,
+                    AnswerKind::Recomputed,
+                    "dim {:?}, delta {} outside {:?}",
+                    dim,
+                    delta,
+                    immutable
+                );
+                prop_assert_eq!(
+                    &answer.result,
+                    &region.result,
                     "adjacent region result must match the report"
                 );
                 prop_assert!(
-                    fresh.result().ids() != cached_ids,
+                    answer.result != cached_ids,
                     "crossing a boundary must change the ordered result"
                 );
             }

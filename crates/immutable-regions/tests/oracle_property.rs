@@ -5,6 +5,7 @@
 
 use immutable_regions::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Strategy for a small dataset: a list of sparse tuples over `dims`
 /// dimensions, each with at least one non-zero coordinate.
@@ -46,9 +47,9 @@ proptest! {
         dataset in dataset_strategy(5, 40),
         query in query_strategy(5),
     ) {
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let mut computation =
-            RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
+            RegionComputation::new(index.clone(), &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
         let report = computation.compute().unwrap();
         let baseline = computation.result().ids();
 
@@ -78,9 +79,9 @@ proptest! {
         dataset in dataset_strategy(4, 30),
         query in query_strategy(4),
     ) {
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let mut computation =
-            RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Scan)).unwrap();
+            RegionComputation::new(index.clone(), &query, RegionConfig::flat(Algorithm::Scan)).unwrap();
         let report = computation.compute().unwrap();
         let baseline = computation.result().ids();
 
@@ -113,11 +114,11 @@ proptest! {
         dataset in dataset_strategy(4, 30),
         query in query_strategy(4),
     ) {
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let mut reports = Vec::new();
         for algorithm in Algorithm::ALL {
             let mut computation =
-                RegionComputation::new(&index, &query, RegionConfig::flat(algorithm)).unwrap();
+                RegionComputation::new(index.clone(), &query, RegionConfig::flat(algorithm)).unwrap();
             reports.push(computation.compute().unwrap());
         }
         for report in &reports[1..] {

@@ -13,6 +13,7 @@
 use immutable_regions::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// A small random dataset with mixed sparsity (single-dimension, few-
 /// dimension and dense tuples), same idiom as `cross_method_agreement`.
@@ -82,7 +83,7 @@ fn batch_matches_sequential_oracle_for_all_algorithms_and_phi() {
             let dims = rng.gen_range(3..7);
             let n = rng.gen_range(40..120);
             let dataset = random_dataset(&mut rng, n, dims);
-            let index = TopKIndex::build_in_memory(&dataset).unwrap();
+            let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
             let queries = random_batch(&mut rng, dims, 5);
             let config = RegionConfig::with_phi(algorithm, phi);
 
@@ -90,7 +91,7 @@ fn batch_matches_sequential_oracle_for_all_algorithms_and_phi() {
             let oracle: Vec<RegionReport> = queries
                 .iter()
                 .map(|q| {
-                    RegionComputation::new(&index, q, config)
+                    RegionComputation::new(index.clone(), q, config)
                         .unwrap()
                         .compute()
                         .unwrap()
@@ -98,7 +99,7 @@ fn batch_matches_sequential_oracle_for_all_algorithms_and_phi() {
                 .collect();
 
             for threads in [1usize, 2, 8] {
-                let reports = BatchRegionComputation::new(&index, config)
+                let reports = BatchRegionComputation::new(index.clone(), config)
                     .with_threads(threads)
                     .run(&queries)
                     .unwrap();
@@ -133,20 +134,20 @@ fn batch_matches_sequential_oracle_in_composition_only_mode() {
     for algorithm in [Algorithm::Scan, Algorithm::Cpt] {
         let dims = rng.gen_range(3..6);
         let dataset = random_dataset(&mut rng, 80, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let queries = random_batch(&mut rng, dims, 4);
         let config = RegionConfig::flat(algorithm).composition_only();
         let oracle: Vec<RegionReport> = queries
             .iter()
             .map(|q| {
-                RegionComputation::new(&index, q, config)
+                RegionComputation::new(index.clone(), q, config)
                     .unwrap()
                     .compute()
                     .unwrap()
             })
             .collect();
         for threads in [1usize, 2, 8] {
-            let reports = BatchRegionComputation::new(&index, config)
+            let reports = BatchRegionComputation::new(index.clone(), config)
                 .with_threads(threads)
                 .run(&queries)
                 .unwrap();
@@ -170,10 +171,10 @@ fn per_dimension_fanout_is_thread_count_invariant() {
     for algorithm in Algorithm::ALL {
         let dims = 6;
         let dataset = random_dataset(&mut rng, 150, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let query = random_query(&mut rng, dims, 4, 5);
         let config = RegionConfig::with_phi(algorithm, 1);
-        let computation = RegionComputation::new(&index, &query, config).unwrap();
+        let computation = RegionComputation::new(index.clone(), &query, config).unwrap();
         let baseline = computation.compute_parallel(1).unwrap();
         for threads in [2usize, 4, 8] {
             let report = computation.compute_parallel(threads).unwrap();
@@ -205,9 +206,9 @@ fn per_dimension_fanout_is_thread_count_invariant() {
 fn batch_results_and_current_regions_match_sequential_topk() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x70B_B01);
     let dataset = random_dataset(&mut rng, 100, 5);
-    let index = TopKIndex::build_in_memory(&dataset).unwrap();
+    let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
     let queries = random_batch(&mut rng, 5, 6);
-    let reports = BatchRegionComputation::new(&index, RegionConfig::default())
+    let reports = BatchRegionComputation::new(index.clone(), RegionConfig::default())
         .with_threads(4)
         .run(&queries)
         .unwrap();

@@ -15,6 +15,7 @@ use ir_storage::IoStatsSnapshot;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 fn build_dataset(seed: u64, n: usize, dims: u32) -> Dataset {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -73,14 +74,14 @@ proptest! {
     ) {
         let dims = 5u32;
         let dataset = build_dataset(seed, 120, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let queries = build_queries(seed, dims, num_queries, k);
         let config = RegionConfig::with_phi(Algorithm::Cpt, phi);
 
         let mut baseline: Option<Vec<RegionReport>> = None;
         for workers in [1usize, 2, 4, 8] {
             let before = index.io_snapshot();
-            let outcome = BatchRegionComputation::new(&index, config)
+            let outcome = BatchRegionComputation::new(index.clone(), config)
                 .with_threads(workers)
                 .run_detailed(&queries)
                 .unwrap();
@@ -115,15 +116,15 @@ proptest! {
 fn concurrent_batches_share_one_pool_losslessly() {
     let dims = 5u32;
     let dataset = build_dataset(0xFEED, 200, dims);
-    let index = TopKIndex::build_in_memory(&dataset).unwrap();
+    let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
     let queries_a = build_queries(1, dims, 8, 4);
     let queries_b = build_queries(2, dims, 8, 3);
     let config = RegionConfig::default();
 
-    let reference_a = BatchRegionComputation::new(&index, config)
+    let reference_a = BatchRegionComputation::new(index.clone(), config)
         .run(&queries_a)
         .unwrap();
-    let reference_b = BatchRegionComputation::new(&index, config)
+    let reference_b = BatchRegionComputation::new(index.clone(), config)
         .run(&queries_b)
         .unwrap();
 
@@ -131,13 +132,13 @@ fn concurrent_batches_share_one_pool_losslessly() {
     let before = index.io_snapshot();
     let (outcome_a, outcome_b) = std::thread::scope(|scope| {
         let handle_a = scope.spawn(|| {
-            BatchRegionComputation::new(&index, config)
+            BatchRegionComputation::new(index.clone(), config)
                 .with_threads(4)
                 .run_detailed(&queries_a)
                 .unwrap()
         });
         let handle_b = scope.spawn(|| {
-            BatchRegionComputation::new(&index, config)
+            BatchRegionComputation::new(index.clone(), config)
                 .with_threads(4)
                 .run_detailed(&queries_b)
                 .unwrap()
@@ -165,13 +166,13 @@ fn concurrent_batches_share_one_pool_losslessly() {
 fn repeated_batches_keep_stats_consistent() {
     let dims = 4u32;
     let dataset = build_dataset(0xBEEF, 150, dims);
-    let index = TopKIndex::build_in_memory(&dataset).unwrap();
+    let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
     index.cold_start();
     let before_all = index.io_snapshot();
     let mut accounted = IoStatsSnapshot::default();
     for round in 0..6u64 {
         let queries = build_queries(round, dims, 5, 2 + (round as usize % 3));
-        let outcome = BatchRegionComputation::new(&index, RegionConfig::default())
+        let outcome = BatchRegionComputation::new(index.clone(), RegionConfig::default())
             .with_threads(1 + (round as usize % 4))
             .run_detailed(&queries)
             .unwrap();

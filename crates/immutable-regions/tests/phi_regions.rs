@@ -6,6 +6,7 @@ use ir_core::config::PerturbationMode;
 use ir_core::iterative::compute_iterative;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 fn random_dataset(rng: &mut ChaCha8Rng, n: usize, dims: u32) -> Dataset {
     let mut builder = DatasetBuilder::new(dims);
@@ -32,7 +33,7 @@ fn phi_regions_match_the_oracle_for_every_algorithm() {
         let dims = rng.gen_range(3..6);
         let cardinality = rng.gen_range(25..70);
         let dataset = random_dataset(&mut rng, cardinality, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let k = rng.gen_range(2..5);
         let qlen = 2usize;
         let mut chosen = Vec::new();
@@ -48,9 +49,12 @@ fn phi_regions_match_the_oracle_for_every_algorithm() {
         let oracle = ExhaustiveOracle::new(&dataset, query.clone());
 
         for algorithm in Algorithm::ALL {
-            let mut computation =
-                RegionComputation::new(&index, &query, RegionConfig::with_phi(algorithm, phi))
-                    .unwrap();
+            let mut computation = RegionComputation::new(
+                index.clone(),
+                &query,
+                RegionConfig::with_phi(algorithm, phi),
+            )
+            .unwrap();
             let report = computation.compute().unwrap();
             for dim_regions in &report.dims {
                 let expected =
@@ -91,13 +95,16 @@ fn one_off_and_iterative_processing_agree() {
     for _ in 0..4 {
         let dims = 4;
         let dataset = random_dataset(&mut rng, 40, dims);
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let query = QueryVector::new([(0, 0.7), (2, 0.5)], 3).unwrap();
         let phi = 2;
 
-        let mut one_off =
-            RegionComputation::new(&index, &query, RegionConfig::with_phi(Algorithm::Cpt, phi))
-                .unwrap();
+        let mut one_off = RegionComputation::new(
+            index.clone(),
+            &query,
+            RegionConfig::with_phi(Algorithm::Cpt, phi),
+        )
+        .unwrap();
         let one_off_report = one_off.compute().unwrap();
         let iterative = compute_iterative(&index, &query, Algorithm::Cpt, phi).unwrap();
 
@@ -127,14 +134,15 @@ fn phi_zero_and_flat_solver_agree() {
     // φ = 0 computation (they use different solvers internally).
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let dataset = random_dataset(&mut rng, 80, 5);
-    let index = TopKIndex::build_in_memory(&dataset).unwrap();
+    let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
     let query = QueryVector::new([(0, 0.6), (1, 0.8), (3, 0.4)], 4).unwrap();
     for algorithm in Algorithm::ALL {
         let mut flat =
-            RegionComputation::new(&index, &query, RegionConfig::flat(algorithm)).unwrap();
+            RegionComputation::new(index.clone(), &query, RegionConfig::flat(algorithm)).unwrap();
         let flat_report = flat.compute().unwrap();
         let mut phi =
-            RegionComputation::new(&index, &query, RegionConfig::with_phi(algorithm, 1)).unwrap();
+            RegionComputation::new(index.clone(), &query, RegionConfig::with_phi(algorithm, 1))
+                .unwrap();
         let phi_report = phi.compute().unwrap();
         for (a, b) in flat_report.dims.iter().zip(&phi_report.dims) {
             assert!(

@@ -2,10 +2,11 @@
 //! example (Figures 1, 2 and 5 and the Section 1 walk-through).
 
 use immutable_regions::prelude::*;
+use std::sync::Arc;
 
-fn setup() -> (TopKIndex, QueryVector) {
+fn setup() -> (Arc<TopKIndex>, QueryVector) {
     let dataset = Dataset::running_example();
-    let index = TopKIndex::build_in_memory(&dataset).unwrap();
+    let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
     (index, QueryVector::running_example())
 }
 
@@ -35,7 +36,7 @@ fn figure_1_immutable_regions_for_every_algorithm_and_mode() {
     let (index, query) = setup();
     for algorithm in Algorithm::ALL {
         let mut computation =
-            RegionComputation::new(&index, &query, RegionConfig::flat(algorithm)).unwrap();
+            RegionComputation::new(index.clone(), &query, RegionConfig::flat(algorithm)).unwrap();
         let report = computation.compute().unwrap();
         // IR_1 = (q1 - 16/35, q1 + 0.1), IR_2 = (q2 - 1/18, q2 + 0.5).
         let d0 = report.for_dim(DimId(0)).unwrap();
@@ -66,7 +67,7 @@ fn figure_5_phase_roles() {
     // further tuple. The boundary provenance exposes exactly this.
     let (index, query) = setup();
     let mut computation =
-        RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Scan)).unwrap();
+        RegionComputation::new(index.clone(), &query, RegionConfig::flat(Algorithm::Scan)).unwrap();
     let report = computation.compute().unwrap();
 
     let d0 = report.for_dim(DimId(0)).unwrap();
@@ -106,8 +107,12 @@ fn section_1_phi_1_regions() {
     // ensures at most one perturbation; the respective results are
     // [d2, d3], [d2, d1], [d1, d2].
     let (index, query) = setup();
-    let mut computation =
-        RegionComputation::new(&index, &query, RegionConfig::with_phi(Algorithm::Cpt, 1)).unwrap();
+    let mut computation = RegionComputation::new(
+        index.clone(),
+        &query,
+        RegionConfig::with_phi(Algorithm::Cpt, 1),
+    )
+    .unwrap();
     let report = computation.compute().unwrap();
     let d0 = report.for_dim(DimId(0)).unwrap();
     assert_eq!(d0.regions.len(), 3);
@@ -133,7 +138,7 @@ fn weight_shifts_confirm_the_reported_regions() {
     // changes exactly where the regions say it does.
     let (index, query) = setup();
     let mut computation =
-        RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
+        RegionComputation::new(index.clone(), &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
     let report = computation.compute().unwrap();
     let d0 = report.for_dim(DimId(0)).unwrap();
 

@@ -4,6 +4,7 @@
 
 use immutable_regions::prelude::*;
 use immutable_regions::storage::PAGE_SIZE;
+use std::sync::Arc;
 
 fn medium_dataset() -> Dataset {
     // Deterministic mixed-sparsity dataset, large enough to span many pages.
@@ -32,16 +33,24 @@ fn disk_backed_index_produces_the_same_regions_as_memory() {
     let disk_index = IndexBuilder::new()
         .backend(StorageBackend::Disk(dir.path().to_path_buf()))
         .pool_capacity(64)
-        .build(&dataset)
+        .build_shared(&dataset)
         .unwrap();
-    let mem_index = TopKIndex::build_in_memory(&dataset).unwrap();
+    let mem_index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
     let query = QueryVector::new([(0, 0.9), (5, 0.6), (11, 0.3)], 10).unwrap();
 
-    let mut disk_rc =
-        RegionComputation::new(&disk_index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
+    let mut disk_rc = RegionComputation::new(
+        disk_index.clone(),
+        &query,
+        RegionConfig::flat(Algorithm::Cpt),
+    )
+    .unwrap();
     let disk_report = disk_rc.compute().unwrap();
-    let mut mem_rc =
-        RegionComputation::new(&mem_index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
+    let mut mem_rc = RegionComputation::new(
+        mem_index.clone(),
+        &query,
+        RegionConfig::flat(Algorithm::Cpt),
+    )
+    .unwrap();
     let mem_report = mem_rc.compute().unwrap();
 
     assert_eq!(disk_rc.result().ids(), mem_rc.result().ids());
@@ -61,17 +70,21 @@ fn small_buffer_pool_forces_physical_rereads() {
 
     let tight = IndexBuilder::new()
         .pool_capacity(2)
-        .build(&dataset)
+        .build_shared(&dataset)
         .unwrap();
     let roomy = IndexBuilder::new()
         .pool_capacity(4096)
-        .build(&dataset)
+        .build_shared(&dataset)
         .unwrap();
 
     for index in [&tight, &roomy] {
         index.cold_start();
-        let mut rc =
-            RegionComputation::new(index, &query, RegionConfig::flat(Algorithm::Scan)).unwrap();
+        let mut rc = RegionComputation::new(
+            Arc::clone(index),
+            &query,
+            RegionConfig::flat(Algorithm::Scan),
+        )
+        .unwrap();
         let _ = rc.compute().unwrap();
     }
     let tight_phys = tight.io_snapshot().physical_reads;
@@ -94,12 +107,12 @@ fn io_latency_model_converts_physical_reads_to_time() {
     let index = IndexBuilder::new()
         .io_config(IoConfig::default())
         .pool_capacity(8)
-        .build(&dataset)
+        .build_shared(&dataset)
         .unwrap();
     let query = QueryVector::new([(2, 0.8), (7, 0.5)], 5).unwrap();
     index.cold_start();
     let mut rc =
-        RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
+        RegionComputation::new(index.clone(), &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
     let report = rc.compute().unwrap();
     let io_time = index
         .io_config()

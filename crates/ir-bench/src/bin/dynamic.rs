@@ -27,7 +27,8 @@
 //! It also enforces the oracle law at serving level: after the stream,
 //! every incremental query answer and every fleet member's region report
 //! must be byte-identical to a freshly built engine on the mutated
-//! dataset, and the manager/engine health counters must agree.
+//! dataset, and the manager's update count must agree with the index's
+//! maintenance counters.
 
 use immutable_regions::engine::{EngineResult, IrEngine};
 use immutable_regions::fleet::{FleetConfig, SubscriptionManager};
@@ -209,14 +210,10 @@ fn main() -> EngineResult<()> {
                 rebuild.pages
             ));
         }
-        let health = engine.health();
-        if health.updates_applied != stats.updates_applied
-            || health.regions_survived != stats.regions_survived
-            || health.regions_punctured != stats.regions_punctured
-        {
+        if maint.updates_applied != stats.updates_applied {
             violations.push(format!(
-                "churn {churn_pct}%: engine health counters disagree with manager stats \
-                 ({health:?} vs {stats:?})"
+                "churn {churn_pct}%: index maintenance counted {} updates, the manager {}",
+                maint.updates_applied, stats.updates_applied
             ));
         }
         for member in manager.members() {

@@ -95,14 +95,7 @@ pub fn measure_iterative(
         results.into_iter().collect::<IrResult<Vec<_>>>()?
     };
     for report in &reports {
-        let stats = &report.stats;
-        let dims = stats.evaluated_per_dim.len().max(1) as f64;
-        total.evaluated_per_dim += stats.evaluated_candidates as f64 / dims;
-        total.cpu_time_ms += stats.cpu_time.as_secs_f64() * 1e3;
-        total.io_time_ms += index.io_config().simulated_io_time(&stats.io).as_secs_f64() * 1e3;
-        total.memory_kbytes += stats.memory_footprint_bytes as f64 / 1024.0;
-        total.logical_reads += stats.io.logical_reads as f64;
-        total.physical_reads += stats.io.physical_reads as f64;
+        accumulate_stats(&mut total, index, &report.stats);
     }
     Ok(total.averaged_over(workload.len()))
 }

@@ -38,9 +38,7 @@ use crate::message::{
 };
 use crate::network::{NetworkConfig, NetworkStats, SimNetwork};
 use crate::node::ShardNode;
-use immutable_regions::engine::{
-    ClusterTopology, EngineError, EngineHealthSnapshot, IrEngine, PartitionMode,
-};
+use immutable_regions::engine::{ClusterTopology, EngineError, IrEngine, PartitionMode};
 use ir_core::{ComputationStats, RegionConfig, RegionReport};
 use ir_storage::{snapshot, BackendKind, IoStatsSnapshot, SnapshotPeek};
 use ir_types::{Dataset, IrError, QueryVector};
@@ -464,15 +462,6 @@ impl ShardedEngine {
     /// Layout facts of the staged snapshot (validated at build).
     pub fn snapshot_peek(&self) -> SnapshotPeek {
         self.peek
-    }
-
-    /// Health counters of every live node, shards ascending.
-    pub fn shard_health(&self) -> Vec<(u32, EngineHealthSnapshot)> {
-        self.nodes
-            .iter()
-            .flatten()
-            .map(|node| (node.id().0, node.engine().health()))
-            .collect()
     }
 
     /// Serves a batch: fans units out over the simulated network, merges
@@ -903,14 +892,13 @@ impl ShardedEngine {
 
 /// Reads one node's cumulative traffic counters.
 fn traffic_of(node: &ShardNode, alive: bool, requests_received: u64) -> ShardTraffic {
-    let health = node.engine().health();
     let io = node.engine().index().io_snapshot();
     ShardTraffic {
         shard: node.id().0,
         alive,
         requests_received,
-        solves: health.shard_solves,
-        partials_sent: health.shard_partials,
+        solves: node.solves(),
+        partials_sent: node.solves(),
         logical_reads: io.logical_reads,
         physical_reads: io.physical_reads,
     }

@@ -26,6 +26,8 @@
 //! because the merge is fixed by (query id, dimension index), never by
 //! arrival order. See [`engine`] for the full contract.
 
+#![forbid(unsafe_code)]
+
 pub mod churn;
 pub mod engine;
 pub mod event_schedule;

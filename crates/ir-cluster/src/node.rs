@@ -17,7 +17,7 @@
 use crate::engine::{ClusterError, ClusterResult};
 use crate::message::{DimPartial, PartialPayload, PartialRegion, ShardId, ShardMap, SolveDim};
 use immutable_regions::engine::IrEngine;
-use ir_core::{OwnedRegionComputation, RegionConfig};
+use ir_core::{RegionComputation, RegionConfig};
 use ir_storage::{BackendKind, StorageBackend};
 use ir_types::QueryVector;
 use std::collections::HashMap;
@@ -29,8 +29,10 @@ pub struct ShardNode {
     engine: IrEngine,
     /// TA runs cached per query (`ByDim` mode solves several dimensions of
     /// the same query on one node; the top-k phase runs once).
-    computations: HashMap<usize, OwnedRegionComputation>,
+    computations: HashMap<usize, RegionComputation>,
     map: Option<ShardMap>,
+    /// Work units solved since bring-up; every solve sends one partial.
+    solves: u64,
 }
 
 impl ShardNode {
@@ -64,6 +66,7 @@ impl ShardNode {
             engine,
             computations: HashMap::new(),
             map: None,
+            solves: 0,
         })
     }
 
@@ -75,6 +78,12 @@ impl ShardNode {
     /// The node's engine (health counters, I/O accounting).
     pub fn engine(&self) -> &IrEngine {
         &self.engine
+    }
+
+    /// Work units solved since bring-up — equal to the partial-region
+    /// messages sent, since every solve answers with exactly one.
+    pub fn solves(&self) -> u64 {
+        self.solves
     }
 
     /// Installs a (newer) work assignment; stale broadcasts — delivered out
@@ -170,7 +179,7 @@ impl ShardNode {
                 }))
             }
         };
-        self.engine.note_shard_traffic(1, 1);
+        self.solves += 1;
         Ok(PartialRegion {
             unit: request.unit,
             query: request.query,

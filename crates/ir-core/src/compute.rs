@@ -12,33 +12,6 @@ use ir_types::{IrResult, QueryVector, TopKResult};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How a computation holds its index: a plain borrow (the classic zero-cost
-/// constructors) or a shared [`Arc`] handle, which erases the lifetime so
-/// owning façades (the umbrella crate's `IrEngine`) can hand computations out
-/// without borrowing from themselves.
-#[derive(Clone)]
-pub(crate) enum IndexHandle<'a> {
-    /// Borrowed from the caller — the computation cannot outlive the index.
-    Borrowed(&'a TopKIndex),
-    /// Shared ownership — the computation keeps the index alive on its own.
-    Shared(Arc<TopKIndex>),
-}
-
-impl std::ops::Deref for IndexHandle<'_> {
-    type Target = TopKIndex;
-
-    fn deref(&self) -> &TopKIndex {
-        match self {
-            IndexHandle::Borrowed(index) => index,
-            IndexHandle::Shared(index) => index,
-        }
-    }
-}
-
-/// A [`RegionComputation`] that owns its index via [`Arc`] and therefore has
-/// no borrowed lifetime — the form returned by owning façades.
-pub type OwnedRegionComputation = RegionComputation<'static>;
-
 /// A top-k query whose result has been computed and whose immutable regions
 /// can be derived.
 ///
@@ -46,68 +19,41 @@ pub type OwnedRegionComputation = RegionComputation<'static>;
 /// use ir_core::{Algorithm, RegionComputation, RegionConfig};
 /// use ir_storage::TopKIndex;
 /// use ir_types::{Dataset, DimId, QueryVector};
+/// use std::sync::Arc;
 ///
 /// let dataset = Dataset::running_example();
-/// let index = TopKIndex::build_in_memory(&dataset).unwrap();
+/// let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
 /// let query = QueryVector::running_example();
 /// let mut computation =
-///     RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
+///     RegionComputation::new(index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
 /// let report = computation.compute().unwrap();
 /// let dim0 = report.for_dim(DimId(0)).unwrap();
 /// assert!((dim0.immutable.lo - (-16.0 / 35.0)).abs() < 1e-9);
 /// assert!((dim0.immutable.hi - 0.1).abs() < 1e-9);
 /// ```
 #[must_use = "a region computation does nothing until `compute` is called"]
-pub struct RegionComputation<'a> {
-    index: IndexHandle<'a>,
+pub struct RegionComputation {
+    index: Arc<TopKIndex>,
     ta: TaRun,
     config: RegionConfig,
     topk_io: IoStatsSnapshot,
 }
 
-impl<'a> RegionComputation<'a> {
-    /// Runs TA for the query and prepares the region computation.
-    pub fn new(index: &'a TopKIndex, query: &QueryVector, config: RegionConfig) -> IrResult<Self> {
+impl RegionComputation {
+    /// Runs TA for the query and prepares the region computation. The
+    /// computation shares ownership of the index, so it can be stored, sent
+    /// across threads, or returned from owning services.
+    pub fn new(index: Arc<TopKIndex>, query: &QueryVector, config: RegionConfig) -> IrResult<Self> {
         Self::with_ta_config(index, query, config, &TaConfig::default())
     }
 
     /// Same as [`RegionComputation::new`] with an explicit TA configuration.
     pub fn with_ta_config(
-        index: &'a TopKIndex,
+        index: Arc<TopKIndex>,
         query: &QueryVector,
         config: RegionConfig,
         ta_config: &TaConfig,
     ) -> IrResult<Self> {
-        Self::from_handle(IndexHandle::Borrowed(index), query, config, ta_config)
-    }
-
-    /// Like [`RegionComputation::new`], but holding the index via [`Arc`]:
-    /// the returned computation has no borrowed lifetime and can be stored,
-    /// sent across threads, or returned from owning services.
-    pub fn new_shared(
-        index: Arc<TopKIndex>,
-        query: &QueryVector,
-        config: RegionConfig,
-    ) -> IrResult<OwnedRegionComputation> {
-        Self::with_ta_config_shared(index, query, config, &TaConfig::default())
-    }
-
-    /// [`RegionComputation::new_shared`] with an explicit TA configuration.
-    pub fn with_ta_config_shared(
-        index: Arc<TopKIndex>,
-        query: &QueryVector,
-        config: RegionConfig,
-        ta_config: &TaConfig,
-    ) -> IrResult<OwnedRegionComputation> {
-        RegionComputation::from_handle(IndexHandle::Shared(index), query, config, ta_config)
-    }
-
-    pub(crate) fn from_handle<'b>(
-        index: IndexHandle<'b>,
-        query: &QueryVector,
-        config: RegionConfig,
-        ta_config: &TaConfig,
-    ) -> IrResult<RegionComputation<'b>> {
         // Diff the calling thread's own stats shard (not the pool total) so
         // the TA I/O stays correctly attributed even when other workers are
         // using the same buffer pool concurrently; single-threaded the two
@@ -285,9 +231,9 @@ mod tests {
     use crate::region::Perturbation;
     use ir_types::{Dataset, DimId, TupleId};
 
-    fn running_setup() -> (TopKIndex, QueryVector) {
+    fn running_setup() -> (Arc<TopKIndex>, QueryVector) {
         let dataset = Dataset::running_example();
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         (index, QueryVector::running_example())
     }
 
@@ -298,7 +244,8 @@ mod tests {
         let (index, query) = running_setup();
         for algorithm in Algorithm::ALL {
             let mut computation =
-                RegionComputation::new(&index, &query, RegionConfig::flat(algorithm)).unwrap();
+                RegionComputation::new(index.clone(), &query, RegionConfig::flat(algorithm))
+                    .unwrap();
             let report = computation.compute().unwrap();
             assert_eq!(
                 computation.result().ids(),
@@ -335,7 +282,8 @@ mod tests {
     fn running_example_boundary_perturbations() {
         let (index, query) = running_setup();
         let mut computation =
-            RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
+            RegionComputation::new(index.clone(), &query, RegionConfig::flat(Algorithm::Cpt))
+                .unwrap();
         let report = computation.compute().unwrap();
         let d0 = report.for_dim(DimId(0)).unwrap();
         match d0.upper_boundary.unwrap().perturbation {
@@ -365,7 +313,7 @@ mod tests {
         let (index, query) = running_setup();
         for algorithm in Algorithm::ALL {
             let mut computation =
-                RegionComputation::new(&index, &query, RegionConfig::with_phi(algorithm, 1))
+                RegionComputation::new(index.clone(), &query, RegionConfig::with_phi(algorithm, 1))
                     .unwrap();
             let report = computation.compute().unwrap();
             let d0 = report.for_dim(DimId(0)).unwrap();
@@ -415,7 +363,7 @@ mod tests {
         // enter the top-2 (or the domain edge).
         let (index, query) = running_setup();
         let mut computation = RegionComputation::new(
-            &index,
+            index.clone(),
             &query,
             RegionConfig::flat(Algorithm::Cpt).composition_only(),
         )
@@ -434,7 +382,8 @@ mod tests {
         let (index, query) = running_setup();
         index.cold_start();
         let mut scan =
-            RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Scan)).unwrap();
+            RegionComputation::new(index.clone(), &query, RegionConfig::flat(Algorithm::Scan))
+                .unwrap();
         let scan_report = scan.compute().unwrap();
         assert_eq!(scan_report.stats.evaluated_per_dim.len(), 2);
         assert!(scan_report.stats.io.logical_reads > 0);
@@ -442,7 +391,8 @@ mod tests {
 
         index.cold_start();
         let mut cpt =
-            RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
+            RegionComputation::new(index.clone(), &query, RegionConfig::flat(Algorithm::Cpt))
+                .unwrap();
         let cpt_report = cpt.compute().unwrap();
         assert!(
             cpt_report.stats.evaluated_candidates <= scan_report.stats.evaluated_candidates,
@@ -457,10 +407,11 @@ mod tests {
         let (index, query) = running_setup();
         for algorithm in Algorithm::ALL {
             let mut strict =
-                RegionComputation::new(&index, &query, RegionConfig::flat(algorithm)).unwrap();
+                RegionComputation::new(index.clone(), &query, RegionConfig::flat(algorithm))
+                    .unwrap();
             let strict_report = strict.compute().unwrap();
             let mut loose = RegionComputation::new(
-                &index,
+                index.clone(),
                 &query,
                 RegionConfig::flat(algorithm).composition_only(),
             )

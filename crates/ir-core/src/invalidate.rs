@@ -127,12 +127,13 @@ mod tests {
     use crate::config::RegionConfig;
     use ir_storage::TopKIndex;
     use ir_types::Dataset;
+    use std::sync::Arc;
 
-    fn running_report() -> (QueryVector, RegionReport, TopKIndex) {
+    fn running_report() -> (QueryVector, RegionReport, Arc<TopKIndex>) {
         let dataset = Dataset::running_example();
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let query = QueryVector::running_example();
-        let report = RegionComputation::new(&index, &query, RegionConfig::default())
+        let report = RegionComputation::new(index.clone(), &query, RegionConfig::default())
             .unwrap()
             .compute()
             .unwrap();

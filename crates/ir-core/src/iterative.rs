@@ -14,6 +14,7 @@ use crate::metrics::ComputationStats;
 use crate::region::WeightRegion;
 use ir_storage::TopKIndex;
 use ir_types::{DimId, IrResult, QueryVector};
+use std::sync::Arc;
 
 /// How far past a region boundary the weight is nudged before re-evaluating.
 const BOUNDARY_NUDGE: f64 = 1e-9;
@@ -44,7 +45,7 @@ pub struct IterativeReport {
 /// Computes up to `phi` regions on each side of the current weight for every
 /// query dimension by iterative re-evaluation with single-region requests.
 pub fn compute_iterative(
-    index: &TopKIndex,
+    index: &Arc<TopKIndex>,
     query: &QueryVector,
     algorithm: Algorithm,
     phi: usize,
@@ -54,7 +55,7 @@ pub fn compute_iterative(
     let mut dims_out = Vec::new();
 
     // The first pass over the original query serves every dimension.
-    let mut base = RegionComputation::new(index, query, flat)?;
+    let mut base = RegionComputation::new(Arc::clone(index), query, flat)?;
     let base_report = base.compute()?;
     accumulate(&mut total, &base_report.stats, true);
 
@@ -74,7 +75,7 @@ pub fn compute_iterative(
                 break;
             }
             let shifted = query.with_weight_shift(dim, shift + BOUNDARY_NUDGE)?;
-            let mut rc = RegionComputation::new(index, &shifted, flat)?;
+            let mut rc = RegionComputation::new(Arc::clone(index), &shifted, flat)?;
             let report = rc.compute()?;
             accumulate(&mut total, &report.stats, true);
             let Some(d) = report.for_dim(dim) else { break };
@@ -96,7 +97,7 @@ pub fn compute_iterative(
                 break;
             }
             let shifted = query.with_weight_shift(dim, shift - BOUNDARY_NUDGE)?;
-            let mut rc = RegionComputation::new(index, &shifted, flat)?;
+            let mut rc = RegionComputation::new(Arc::clone(index), &shifted, flat)?;
             let report = rc.compute()?;
             accumulate(&mut total, &report.stats, true);
             let Some(d) = report.for_dim(dim) else { break };
@@ -144,7 +145,7 @@ mod tests {
     #[test]
     fn iterative_regions_match_one_off_on_running_example() {
         let dataset = Dataset::running_example();
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let query = QueryVector::running_example();
 
         let iterative = compute_iterative(&index, &query, Algorithm::Cpt, 1).unwrap();
@@ -166,7 +167,7 @@ mod tests {
     #[test]
     fn iterative_cost_grows_with_phi() {
         let dataset = Dataset::running_example();
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let query = QueryVector::running_example();
         index.cold_start();
         let phi1 = compute_iterative(&index, &query, Algorithm::Prune, 1).unwrap();

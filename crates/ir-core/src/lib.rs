@@ -50,7 +50,7 @@ pub mod solver_flat;
 pub mod solver_phi;
 pub mod threshold;
 
-pub use compute::{OwnedRegionComputation, RegionComputation};
+pub use compute::RegionComputation;
 pub use config::{Algorithm, PerturbationMode, RegionConfig};
 pub use invalidate::{update_impact, UpdateImpact};
 pub use metrics::ComputationStats;

@@ -34,7 +34,7 @@
 //! while many workers hammer the same buffer pool, and the per-worker
 //! tallies always merge losslessly into the pool total.
 
-use crate::compute::{IndexHandle, RegionComputation};
+use crate::compute::RegionComputation;
 use crate::config::{PerturbationMode, RegionConfig};
 use crate::evaluator::CandidateEvaluator;
 use crate::region::{DimRegions, RegionReport};
@@ -47,6 +47,7 @@ use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Global allocator of worker shard hints: each pool of workers takes a
@@ -223,15 +224,16 @@ impl BatchOutcome {
 /// use ir_core::{parallel::BatchRegionComputation, RegionConfig};
 /// use ir_storage::TopKIndex;
 /// use ir_types::{Dataset, QueryVector};
+/// use std::sync::Arc;
 ///
 /// let dataset = Dataset::running_example();
-/// let index = TopKIndex::build_in_memory(&dataset).unwrap();
+/// let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
 /// let queries = vec![QueryVector::running_example(); 4];
-/// let batch = BatchRegionComputation::new(&index, RegionConfig::default()).with_threads(2);
+/// let batch = BatchRegionComputation::new(index.clone(), RegionConfig::default()).with_threads(2);
 /// let reports = batch.run(&queries).unwrap();
 /// assert_eq!(reports.len(), 4);
 /// // Deterministic: every worker count yields identical regions.
-/// let sequential = BatchRegionComputation::new(&index, RegionConfig::default())
+/// let sequential = BatchRegionComputation::new(index, RegionConfig::default())
 ///     .run(&queries)
 ///     .unwrap();
 /// assert!(reports
@@ -241,30 +243,16 @@ impl BatchOutcome {
 /// ```
 #[derive(Clone)]
 #[must_use = "a batch runner does nothing until `run` is called"]
-pub struct BatchRegionComputation<'a> {
-    index: IndexHandle<'a>,
+pub struct BatchRegionComputation {
+    index: Arc<TopKIndex>,
     config: RegionConfig,
     ta_config: TaConfig,
     threads: usize,
 }
 
-impl<'a> BatchRegionComputation<'a> {
+impl BatchRegionComputation {
     /// Creates a batch runner over `index` with one worker (sequential).
-    pub fn new(index: &'a TopKIndex, config: RegionConfig) -> Self {
-        Self::from_handle(IndexHandle::Borrowed(index), config)
-    }
-
-    /// Like [`BatchRegionComputation::new`], but holding the index via
-    /// [`Arc`](std::sync::Arc): the runner has no borrowed lifetime, so an
-    /// owning service can store it or move it across threads.
-    pub fn new_shared(
-        index: std::sync::Arc<TopKIndex>,
-        config: RegionConfig,
-    ) -> BatchRegionComputation<'static> {
-        BatchRegionComputation::from_handle(IndexHandle::Shared(index), config)
-    }
-
-    fn from_handle<'b>(index: IndexHandle<'b>, config: RegionConfig) -> BatchRegionComputation<'b> {
+    pub fn new(index: Arc<TopKIndex>, config: RegionConfig) -> Self {
         BatchRegionComputation {
             index,
             config,
@@ -315,7 +303,7 @@ impl<'a> BatchRegionComputation<'a> {
             "query",
             |query_index| {
                 let mut computation = RegionComputation::with_ta_config(
-                    &self.index,
+                    Arc::clone(&self.index),
                     &queries[query_index],
                     self.config,
                     &self.ta_config,
@@ -389,7 +377,7 @@ mod tests {
     #[test]
     fn run_queries_preserves_job_order() {
         let dataset = Dataset::running_example();
-        let index = ir_storage::TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(ir_storage::TopKIndex::build_in_memory(&dataset).unwrap());
         for threads in [1usize, 2, 5] {
             let (items, tallies) = run_queries(&index, threads, 9, "job", |i| Ok(i * i));
             let items: Vec<usize> = items.into_iter().map(|r| r.unwrap()).collect();
@@ -401,7 +389,7 @@ mod tests {
     #[test]
     fn run_queries_contains_panics_per_job() {
         let dataset = Dataset::running_example();
-        let index = ir_storage::TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(ir_storage::TopKIndex::build_in_memory(&dataset).unwrap());
         // Suppress the default panic hook's stderr spam for the injected
         // panics; the hook is process-global, so set it once.
         quiet_panics();
@@ -446,16 +434,18 @@ mod tests {
     #[test]
     fn batch_reports_match_for_every_worker_count() {
         let dataset = medium_dataset();
-        let index = ir_storage::TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(ir_storage::TopKIndex::build_in_memory(&dataset).unwrap());
         let queries = queries(4);
-        let baseline = BatchRegionComputation::new(&index, RegionConfig::flat(Algorithm::Cpt))
-            .run(&queries)
-            .unwrap();
-        for threads in [2usize, 4, 8] {
-            let reports = BatchRegionComputation::new(&index, RegionConfig::flat(Algorithm::Cpt))
-                .with_threads(threads)
+        let baseline =
+            BatchRegionComputation::new(index.clone(), RegionConfig::flat(Algorithm::Cpt))
                 .run(&queries)
                 .unwrap();
+        for threads in [2usize, 4, 8] {
+            let reports =
+                BatchRegionComputation::new(index.clone(), RegionConfig::flat(Algorithm::Cpt))
+                    .with_threads(threads)
+                    .run(&queries)
+                    .unwrap();
             assert_eq!(reports.len(), baseline.len());
             for (a, b) in baseline.iter().zip(&reports) {
                 assert_eq!(a.dims, b.dims, "threads = {threads}");
@@ -466,10 +456,10 @@ mod tests {
     #[test]
     fn worker_tallies_sum_to_batch_io() {
         let dataset = medium_dataset();
-        let index = ir_storage::TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(ir_storage::TopKIndex::build_in_memory(&dataset).unwrap());
         index.cold_start();
         let before = index.io_snapshot();
-        let outcome = BatchRegionComputation::new(&index, RegionConfig::default())
+        let outcome = BatchRegionComputation::new(index.clone(), RegionConfig::default())
             .with_threads(3)
             .run_detailed(&queries(3))
             .unwrap();

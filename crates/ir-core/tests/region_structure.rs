@@ -10,6 +10,7 @@ use ir_core::{Algorithm, ExhaustiveOracle, RegionComputation, RegionConfig};
 use ir_storage::TopKIndex;
 use ir_types::{Dataset, DatasetBuilder, QueryVector};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     let dims = 5u32;
@@ -42,9 +43,9 @@ proptest! {
         query in query_strategy(),
         phi in 0usize..3,
     ) {
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let mut computation =
-            RegionComputation::new(&index, &query, RegionConfig::with_phi(Algorithm::Cpt, phi))
+            RegionComputation::new(index.clone(), &query, RegionConfig::with_phi(Algorithm::Cpt, phi))
                 .unwrap();
         let report = computation.compute().unwrap();
         let k = computation.result().len();
@@ -86,10 +87,10 @@ proptest! {
         query in query_strategy(),
         phi in 1usize..3,
     ) {
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let oracle = ExhaustiveOracle::new(&dataset, query.clone());
         let mut computation = RegionComputation::new(
-            &index,
+            index.clone(),
             &query,
             RegionConfig::with_phi(Algorithm::Cpt, phi).composition_only(),
         )
@@ -133,12 +134,12 @@ proptest! {
         dataset in dataset_strategy(),
         query in query_strategy(),
     ) {
-        let index = TopKIndex::build_in_memory(&dataset).unwrap();
+        let index = Arc::new(TopKIndex::build_in_memory(&dataset).unwrap());
         let mut strict =
-            RegionComputation::new(&index, &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
+            RegionComputation::new(index.clone(), &query, RegionConfig::flat(Algorithm::Cpt)).unwrap();
         let strict_report = strict.compute().unwrap();
         let mut loose = RegionComputation::new(
-            &index,
+            index.clone(),
             &query,
             RegionConfig::flat(Algorithm::Cpt).composition_only(),
         )

@@ -573,12 +573,6 @@ impl TopKIndex {
         Ok(applied)
     }
 
-    /// Applies one logical update; see [`TopKIndex::apply_updates`].
-    pub fn apply_update(&self, update: &TupleUpdate) -> IrResult<AppliedUpdate> {
-        let mut applied = self.apply_updates(std::slice::from_ref(update))?;
-        Ok(applied.pop().expect("one update in, one applied out"))
-    }
-
     /// Cumulative maintenance counters: updates/batches applied, lists
     /// rewritten, tuple-region relocations, and the I/O attributed to
     /// maintenance (kept separate from the query counters).

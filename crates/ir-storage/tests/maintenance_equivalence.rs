@@ -168,11 +168,11 @@ fn maintenance_io_is_separate_from_query_io() {
     let index = TopKIndex::build_in_memory(&dataset).unwrap();
     index.cold_start();
     index
-        .apply_update(&TupleUpdate::UpdateScore {
+        .apply_updates(&[TupleUpdate::UpdateScore {
             tuple: TupleId(2),
             dim: DimId(0),
             value: 0.99,
-        })
+        }])
         .unwrap();
     let maint = index.maintenance_stats();
     let pool_after_maintenance = index.io_snapshot();

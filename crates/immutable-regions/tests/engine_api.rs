@@ -270,6 +270,10 @@ fn batch_output_matches_borrowed_sequential_oracle_for_every_worker_count() {
                     "workers = {workers}"
                 );
                 assert_eq!(
+                    expected.stats.kinetic_sweeps, got.stats.kinetic_sweeps,
+                    "workers = {workers}"
+                );
+                assert_eq!(
                     expected.stats.initial_candidates, got.stats.initial_candidates,
                     "workers = {workers}"
                 );

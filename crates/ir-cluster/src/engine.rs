@@ -719,6 +719,7 @@ impl ShardedEngine {
                 let mut evaluated_per_dim = Vec::with_capacity(parts.len());
                 let mut evaluated_total = 0u64;
                 let mut phase3_total = 0u64;
+                let mut sweeps_total = 0u64;
                 let mut footprint = 0usize;
                 let mut io = IoStatsSnapshot::default();
                 let mut first_ta: Option<(usize, IoStatsSnapshot)> = None;
@@ -751,6 +752,7 @@ impl ShardedEngine {
                     evaluated_per_dim.push(part.evaluated);
                     evaluated_total += part.evaluated;
                     phase3_total += part.phase3_tuples;
+                    sweeps_total += part.kinetic_sweeps;
                     footprint = footprint.max(part.footprint_bytes);
                     io = io.plus(&part.io);
                     dims.push(part.regions.clone());
@@ -764,6 +766,7 @@ impl ShardedEngine {
                         evaluated_candidates: evaluated_total,
                         evaluated_per_dim,
                         phase3_tuples: phase3_total,
+                        kinetic_sweeps: sweeps_total,
                         initial_candidates,
                         io,
                         topk_io,

@@ -160,6 +160,8 @@ pub struct DimPartial {
     pub evaluated: u64,
     /// Tuples newly discovered by the resumed TA of Phase 3.
     pub phase3_tuples: u64,
+    /// Kinetic sweeps the dimension's solve ran.
+    pub kinetic_sweeps: u64,
     /// Candidate-bookkeeping bytes this dimension required.
     pub footprint_bytes: usize,
     /// Candidate-list size of the node's initial TA run. Identical on

@@ -172,6 +172,7 @@ impl ShardNode {
                     regions,
                     evaluated: info.evaluated,
                     phase3_tuples: info.phase3_tuples,
+                    kinetic_sweeps: info.kinetic_sweeps,
                     footprint_bytes: info.footprint_bytes,
                     initial_candidates: computation.initial_candidates(),
                     topk_io: computation.topk_io(),

@@ -132,6 +132,10 @@ fn assert_matches_oracle(
             "{context} query={qi}"
         );
         assert_eq!(
+            actual.stats.kinetic_sweeps, stats_oracle.kinetic_sweeps,
+            "{context} query={qi}"
+        );
+        assert_eq!(
             actual.stats.io.logical_reads, stats_oracle.io.logical_reads,
             "{context} query={qi}: logical solve reads diverge"
         );

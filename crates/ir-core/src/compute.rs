@@ -115,6 +115,7 @@ impl RegionComputation {
         let mut evaluated_per_dim = Vec::with_capacity(qlen);
         let mut evaluated_total = 0u64;
         let mut phase3_total = 0u64;
+        let mut sweeps_total = 0u64;
         let mut footprint = 0usize;
 
         for dim_index in 0..qlen {
@@ -146,6 +147,7 @@ impl RegionComputation {
             evaluated_per_dim.push(info.evaluated);
             evaluated_total += info.evaluated;
             phase3_total += info.phase3_tuples;
+            sweeps_total += info.kinetic_sweeps;
             footprint = footprint.max(info.footprint_bytes);
             dims.push(regions);
         }
@@ -156,6 +158,7 @@ impl RegionComputation {
             evaluated_candidates: evaluated_total,
             evaluated_per_dim,
             phase3_tuples: phase3_total,
+            kinetic_sweeps: sweeps_total,
             initial_candidates,
             io,
             topk_io: self.topk_io,
@@ -198,6 +201,7 @@ impl RegionComputation {
         let mut evaluated_per_dim = Vec::with_capacity(qlen);
         let mut evaluated_total = 0u64;
         let mut phase3_total = 0u64;
+        let mut sweeps_total = 0u64;
         let mut footprint = 0usize;
         let mut io = ir_storage::IoStatsSnapshot::default();
         for solved_dim in solved {
@@ -205,6 +209,7 @@ impl RegionComputation {
             evaluated_per_dim.push(info.evaluated);
             evaluated_total += info.evaluated;
             phase3_total += info.phase3_tuples;
+            sweeps_total += info.kinetic_sweeps;
             footprint = footprint.max(info.footprint_bytes);
             io = io.plus(&dim_io);
             dims.push(regions);
@@ -214,6 +219,7 @@ impl RegionComputation {
             evaluated_candidates: evaluated_total,
             evaluated_per_dim,
             phase3_tuples: phase3_total,
+            kinetic_sweeps: sweeps_total,
             initial_candidates,
             io,
             topk_io: self.topk_io,

@@ -28,7 +28,8 @@ use std::collections::HashMap;
 
 /// Slack under which a tuple's line is considered to touch the k-th line —
 /// touching at a region endpoint is exactly an envelope event, so it
-/// punctures.
+/// punctures. The φ-solver's cached sweep uses the same slack to decide
+/// whether a folded-in line can be skipped.
 pub const PUNCTURE_EPS: f64 = 1e-9;
 
 /// Whether a cached region report survived one update exactly.
@@ -109,10 +110,8 @@ pub fn update_impact(
             let kth_line = Line::new(kth.0 as u64, *kth_score, kth_vector.get(dim_regions.dim));
             for (score, vector) in [(old_score, old_vector), (new_score, new_vector)] {
                 let line = Line::new(tuple.0 as u64, score, vector.get(dim_regions.dim));
-                for x in [region.delta_lo, region.delta_hi] {
-                    if line.eval(x) >= kth_line.eval(x) - PUNCTURE_EPS {
-                        return Ok(UpdateImpact::Punctured);
-                    }
+                if !line.stays_below(&kth_line, region.delta_lo, region.delta_hi, PUNCTURE_EPS) {
+                    return Ok(UpdateImpact::Punctured);
                 }
             }
         }

@@ -19,6 +19,11 @@ pub struct ComputationStats {
     pub evaluated_per_dim: Vec<u64>,
     /// Tuples newly discovered by the resumed TA of Phase 3 (all dimensions).
     pub phase3_tuples: u64,
+    /// Kinetic sweeps the `φ > 0` / composition-only solver ran (all
+    /// dimensions, both directions; 0 for the flat solver). Deterministic:
+    /// a sweep runs only when a folded-in line could reach the cached k-th
+    /// trace.
+    pub kinetic_sweeps: u64,
     /// Size of the candidate list `C(q)` produced by the initial TA run.
     pub initial_candidates: usize,
     /// I/O performed while computing the regions (TA excluded).
@@ -61,6 +66,7 @@ impl ComputationStats {
             *slot += v;
         }
         self.phase3_tuples += other.phase3_tuples;
+        self.kinetic_sweeps += other.kinetic_sweeps;
         self.initial_candidates += other.initial_candidates;
         self.io = self.io.plus(&other.io);
         self.topk_io = self.topk_io.plus(&other.topk_io);
@@ -92,6 +98,7 @@ mod tests {
             evaluated_candidates: 5,
             evaluated_per_dim: vec![2, 3],
             phase3_tuples: 1,
+            kinetic_sweeps: 4,
             initial_candidates: 10,
             cpu_time: Duration::from_millis(5),
             memory_footprint_bytes: 100,
@@ -101,6 +108,7 @@ mod tests {
             evaluated_candidates: 7,
             evaluated_per_dim: vec![1, 6],
             phase3_tuples: 2,
+            kinetic_sweeps: 6,
             initial_candidates: 4,
             cpu_time: Duration::from_millis(3),
             memory_footprint_bytes: 250,
@@ -110,6 +118,7 @@ mod tests {
         assert_eq!(a.evaluated_candidates, 12);
         assert_eq!(a.evaluated_per_dim, vec![3, 9]);
         assert_eq!(a.phase3_tuples, 3);
+        assert_eq!(a.kinetic_sweeps, 10);
         assert_eq!(a.initial_candidates, 14);
         assert_eq!(a.cpu_time, Duration::from_millis(8));
         assert_eq!(a.memory_footprint_bytes, 250);

@@ -36,6 +36,8 @@ pub struct DimSolveInfo {
     pub phase2_pool: usize,
     /// Approximate bytes of candidate bookkeeping this dimension required.
     pub footprint_bytes: usize,
+    /// Kinetic sweeps run (both directions; always 0 for the flat solver).
+    pub kinetic_sweeps: u64,
 }
 
 /// Solves one query dimension for `φ = 0`.

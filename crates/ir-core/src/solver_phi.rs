@@ -11,6 +11,7 @@
 
 use crate::config::{PerturbationMode, RegionConfig};
 use crate::evaluator::CandidateEvaluator;
+use crate::invalidate::PUNCTURE_EPS;
 use crate::partition::Partition;
 use crate::region::{DimRegions, Perturbation, RegionBoundary, WeightRegion};
 use crate::solver_flat::{phase2_footprint, DimSolveInfo};
@@ -49,12 +50,24 @@ impl PhiCand {
 }
 
 /// State of one directional sweep while candidates are being folded in.
+///
+/// The sweep outcome and the lower envelope built from it are cached. A
+/// folded-in line that stays below every piece of the cached k-th trace by
+/// [`PUNCTURE_EPS`] can never win a sweep event, so a fresh sweep over all
+/// accepted lines would reproduce the cached outcome bit for bit (the
+/// invariant documented in [`ir_geometry::kinetic`]); any other line drops
+/// the cache and the next [`DirectionalSweep::state`] call re-sweeps.
+/// Skipped lines stay in `accepted`: a later re-sweep can extend `end_x`
+/// past the range their skip was proven on.
 struct DirectionalSweep {
     direction: Direction,
     result_lines: Vec<Line>,
     accepted: Vec<Line>,
     x_max: f64,
     max_events: usize,
+    cached: Option<(SweepOutcome, Option<LowerEnvelope>)>,
+    /// Kinetic sweeps run so far.
+    sweeps: u64,
 }
 
 impl DirectionalSweep {
@@ -94,34 +107,56 @@ impl DirectionalSweep {
             accepted: Vec::new(),
             x_max,
             max_events: head_room,
+            cached: None,
+            sweeps: 0,
         }
     }
 
     fn add_candidate(&mut self, cand: PhiCand) {
-        self.accepted.push(cand.line(self.direction));
+        let line = cand.line(self.direction);
+        let unchanged = self
+            .cached
+            .as_ref()
+            .is_some_and(|(outcome, _)| outcome.line_stays_below(&line, PUNCTURE_EPS));
+        if !unchanged {
+            self.cached = None;
+        }
+        self.accepted.push(line);
     }
 
-    fn outcome(&self) -> SweepOutcome {
-        sweep_topk(
-            self.result_lines.clone(),
-            self.accepted.clone(),
-            0.0,
-            self.x_max,
-            self.max_events,
-        )
+    /// The sweep outcome over every accepted line, and the lower envelope
+    /// of its k-th trace over `[0, end_x]` (`None` when that range is
+    /// empty) used by the threshold-line termination tests. Re-sweeps only
+    /// when a line folded in since the last call could reach the trace.
+    fn state(&mut self) -> (&SweepOutcome, Option<&LowerEnvelope>) {
+        let cached = match self.cached.take() {
+            Some(cached) => cached,
+            None => {
+                self.sweeps += 1;
+                let outcome = sweep_topk(
+                    self.result_lines.clone(),
+                    self.accepted.clone(),
+                    0.0,
+                    self.x_max,
+                    self.max_events,
+                );
+                let envelope = (outcome.end_x > 0.0 && !outcome.envelope.is_empty()).then(|| {
+                    let lines: Vec<Line> = outcome.envelope.iter().map(|p| p.line).collect();
+                    LowerEnvelope::build(&lines, 0.0, outcome.end_x)
+                });
+                (outcome, envelope)
+            }
+        };
+        let (outcome, envelope) = self.cached.insert(cached);
+        (outcome, envelope.as_ref())
     }
 
-    /// The lower envelope of the k-th result line over the currently known
-    /// region range, used by the threshold-line termination tests.
-    fn envelope(&self, outcome: &SweepOutcome) -> Option<LowerEnvelope> {
-        if outcome.end_x <= 0.0 {
-            return None;
-        }
-        let lines: Vec<Line> = outcome.envelope.iter().map(|p| p.line).collect();
-        if lines.is_empty() {
-            return None;
-        }
-        Some(LowerEnvelope::build(&lines, 0.0, outcome.end_x))
+    /// True if `probe` stays strictly below the current envelope (or there
+    /// is no envelope to reach).
+    fn clears(&mut self, probe: &Line) -> bool {
+        self.state()
+            .1
+            .map_or(true, |env| env.line_strictly_below(probe))
     }
 }
 
@@ -230,10 +265,13 @@ pub fn solve_dim_phi(
     } else {
         ((0..views.len()).collect(), (0..views.len()).collect())
     };
-    let pool_union: HashSet<usize> = right_pool.iter().chain(left_pool.iter()).copied().collect();
-    info.phase2_pool = pool_union.len();
+    let mut in_pool = vec![false; views.len()];
+    for &idx in right_pool.iter().chain(&left_pool) {
+        in_pool[idx] = true;
+    }
+    info.phase2_pool = in_pool.iter().filter(|&&member| member).count();
     info.footprint_bytes =
-        phase2_footprint(config, all_entries.len(), pool_union.len(), ta.dims().len());
+        phase2_footprint(config, all_entries.len(), info.phase2_pool, ta.dims().len());
 
     let mut evaluated_ids: HashSet<TupleId> = HashSet::new();
     let feed = |idx: usize,
@@ -287,13 +325,11 @@ pub fn solve_dim_phi(
                         .then_with(|| views[a].id.cmp(&views[b].id))
                 }),
             }
-            let mut processed: HashSet<usize> = HashSet::new();
+            let mut processed = vec![false; views.len()];
             let (mut pos_s, mut pos_j) = (0usize, 0usize);
             loop {
                 // Termination test: the threshold line built from the current
                 // list positions must stay strictly below the envelope.
-                let outcome = sweep.outcome();
-                let envelope = sweep.envelope(&outcome);
                 let t_s = sls.get(pos_s).map(|&i| views[i].score);
                 let t_j = slj.get(pos_j).map(|&i| views[i].coord);
                 let (Some(t_s), Some(t_j)) = (t_s, t_j) else {
@@ -303,11 +339,7 @@ pub fn solve_dim_phi(
                     Direction::Right => Line::new(u64::MAX, t_s, t_j),
                     Direction::Left => Line::new(u64::MAX, t_s, -t_j),
                 };
-                if let Some(env) = &envelope {
-                    if env.line_strictly_below(&threshold_line) {
-                        break;
-                    }
-                } else {
+                if sweep.clears(&threshold_line) {
                     break;
                 }
                 // Round-robin pull: SLS first, then SLj.
@@ -315,7 +347,7 @@ pub fn solve_dim_phi(
                 while pos_s < sls.len() {
                     let idx = sls[pos_s];
                     pos_s += 1;
-                    if processed.insert(idx) {
+                    if !std::mem::replace(&mut processed[idx], true) {
                         feed(idx, sweep, evaluator, &mut evaluated_ids, &mut info)?;
                         pulled = true;
                         break;
@@ -324,7 +356,7 @@ pub fn solve_dim_phi(
                 while pos_j < slj.len() {
                     let idx = slj[pos_j];
                     pos_j += 1;
-                    if processed.insert(idx) {
+                    if !std::mem::replace(&mut processed[idx], true) {
                         feed(idx, sweep, evaluator, &mut evaluated_ids, &mut info)?;
                         pulled = true;
                         break;
@@ -349,26 +381,14 @@ pub fn solve_dim_phi(
     // Phase 3: resume TA until no unseen tuple can reach either envelope.
     // ------------------------------------------------------------------
     loop {
-        let right_outcome = right.outcome();
-        let left_outcome = left.outcome();
-        let tvals = ta.threshold_values().to_vec();
-        let weights = ta.weights().to_vec();
-        let base: f64 = weights.iter().zip(&tvals).map(|(w, t)| w * t).sum();
-        let tj = tvals[dim_index];
+        let tvals = ta.threshold_values();
+        let base: f64 = ta.weights().iter().zip(tvals).map(|(w, t)| w * t).sum();
         // Unseen tuples score at most `base` at δ = 0; to the right their
         // score grows at most with slope t_j, to the left it cannot grow at
         // all (coordinates are non-negative).
-        let right_threshold = Line::new(u64::MAX, base, tj);
+        let right_threshold = Line::new(u64::MAX, base, tvals[dim_index]);
         let left_threshold = Line::new(u64::MAX, base, 0.0);
-        let right_safe = match right.envelope(&right_outcome) {
-            Some(env) => env.line_strictly_below(&right_threshold),
-            None => true,
-        };
-        let left_safe = match left.envelope(&left_outcome) {
-            Some(env) => env.line_strictly_below(&left_threshold),
-            None => true,
-        };
-        if (right_safe && left_safe) || ta.exhausted() {
+        if ta.exhausted() || (right.clears(&right_threshold) && left.clears(&left_threshold)) {
             break;
         }
         let Some(entry) = ta.resume_next_candidate(index)? else {
@@ -390,10 +410,9 @@ pub fn solve_dim_phi(
     // ------------------------------------------------------------------
     // Assemble regions from the two directional outcomes.
     // ------------------------------------------------------------------
-    let right_outcome = right.outcome();
-    let left_outcome = left.outcome();
-    let right_events = filter_events(&right_outcome.events, config.mode, phi);
-    let left_events = filter_events(&left_outcome.events, config.mode, phi);
+    let right_events = filter_events(&right.state().0.events, config.mode, phi);
+    let left_events = filter_events(&left.state().0.events, config.mode, phi);
+    info.kinetic_sweeps = right.sweeps + left.sweeps;
 
     let build_side =
         |events: &[SweepEvent], x_max: f64, direction: Direction| -> Vec<WeightRegion> {
@@ -453,4 +472,104 @@ pub fn solve_dim_phi(
         },
         info,
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The right-hand Phase-2 stream of one composition-only CPT solve on
+    /// the smoke WSJ corpus (qlen 2, weight 0.2635): the result as
+    /// `(id, score, coord)` and the candidates in the order they were
+    /// folded in. Many candidates share one line under different ids.
+    const WEIGHT: f64 = 0.26346224240942323;
+    const RESULT: [(u32, f64, f64); 10] = [
+        (2970, 0.7747494431757845, 0.4009628484923292),
+        (2279, 0.5841809134627021, 0.0),
+        (1425, 0.5316906076023764, 0.0),
+        (550, 0.530722029299527, 0.0),
+        (656, 0.5130364404701632, 0.0),
+        (1174, 0.5072823171680235, 0.0),
+        (196, 0.48960386480053214, 0.0),
+        (1023, 0.4856002166451331, 0.0),
+        (1706, 0.4800473961836911, 0.4009628484923292),
+        (858, 0.47963228400183067, 0.0),
+    ];
+    const STREAM: [(u32, f64, f64); 21] = [
+        (1138, 0.4324086334391809, 0.4009628484923292),
+        (1230, 0.3651280271807138, 0.6788891164340718),
+        (2994, 0.4324086334391809, 0.4009628484923292),
+        (58, 0.20827834955965357, 0.4009628484923292),
+        (837, 0.42427990561183104, 0.4009628484923292),
+        (172, 0.19439549843016402, 0.4009628484923292),
+        (2655, 0.4185257823096913, 0.4009628484923292),
+        (266, 0.20827834955965357, 0.4009628484923292),
+        (848, 0.38829206851169473, 0.4009628484923292),
+        (271, 0.10563857118665888, 0.4009628484923292),
+        (1536, 0.38829206851169473, 0.4009628484923292),
+        (639, 0.19439549843016402, 0.4009628484923292),
+        (2144, 0.38829206851169473, 0.4009628484923292),
+        (762, 0.23801352739418985, 0.4009628484923292),
+        (2581, 0.326770454637695, 0.4009628484923292),
+        (797, 0.2559171123041638, 0.4009628484923292),
+        (2757, 0.326770454637695, 0.4009628484923292),
+        (1159, 0.19439549843016402, 0.4009628484923292),
+        (1749, 0.29703527680315867, 0.4009628484923292),
+        (2014, 0.19439549843016402, 0.4009628484923292),
+        (2816, 0.23801352739418985, 0.4009628484923292),
+    ];
+
+    /// A fresh sweep and envelope over everything folded in so far, built
+    /// directly from `sweep_topk` and `LowerEnvelope::build`.
+    fn fresh(sweep: &DirectionalSweep) -> (SweepOutcome, Option<LowerEnvelope>) {
+        let outcome = sweep_topk(
+            sweep.result_lines.clone(),
+            sweep.accepted.clone(),
+            0.0,
+            sweep.x_max,
+            sweep.max_events,
+        );
+        let lines: Vec<Line> = outcome.envelope.iter().map(|p| p.line).collect();
+        let envelope = (outcome.end_x > 0.0 && !lines.is_empty())
+            .then(|| LowerEnvelope::build(&lines, 0.0, outcome.end_x));
+        (outcome, envelope)
+    }
+
+    #[test]
+    fn cached_state_equals_a_fresh_sweep_after_every_fold() {
+        let result: Vec<(TupleId, f64, f64)> = RESULT
+            .iter()
+            .map(|&(id, score, coord)| (TupleId(id), score, coord))
+            .collect();
+        let configs = [
+            (0, PerturbationMode::CompositionOnly),
+            (1, PerturbationMode::WithReorderings),
+            (3, PerturbationMode::WithReorderings),
+        ];
+        let mut kept = 0;
+        for (phi, mode) in configs {
+            for direction in [Direction::Right, Direction::Left] {
+                let mut sweep = DirectionalSweep::new(direction, &result, WEIGHT, phi, mode);
+                sweep.state();
+                for &(id, score, coord) in &STREAM {
+                    sweep.add_candidate(PhiCand {
+                        id: TupleId(id),
+                        score,
+                        coord,
+                    });
+                    let context = format!("{direction:?} φ={phi} {mode:?} after {id}");
+                    if let Some(cached) = &sweep.cached {
+                        kept += 1;
+                        assert_eq!(cached, &fresh(&sweep), "{context}");
+                    }
+                    let (outcome, envelope) = sweep.state();
+                    let state = (outcome.clone(), envelope.cloned());
+                    assert_eq!(state, fresh(&sweep), "{context}");
+                }
+                assert!(sweep.sweeps <= STREAM.len() as u64 + 1);
+            }
+        }
+        // The stream exercises the skip, not only the re-sweep.
+        assert!(kept > STREAM.len(), "only {kept} folds kept the cache");
+    }
 }

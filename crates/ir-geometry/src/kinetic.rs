@@ -10,6 +10,17 @@
 //!
 //! The sweep works on abstract [`Line`]s; the caller mirrors lines
 //! (`slope → -slope`) to reuse the same machinery for negative deviations.
+//!
+//! **Invariant.** The [`SweepOutcome`] depends only on the lines that reach
+//! the k-th trace and on their insertion order. A line that never wins an
+//! event — one that stays strictly below every piece of
+//! [`SweepOutcome::envelope`] (see [`SweepOutcome::line_stays_below`]) —
+//! can be added to or left out of the outside set without changing a single
+//! bit of the outcome: the outside set keeps its relative order when a line
+//! enters (`Vec::remove`, never `swap_remove`), so a losing line's position
+//! cannot decide which of several exactly tied lines enters later. Callers
+//! that fold lines in one at a time rely on this to keep a cached outcome
+//! instead of re-sweeping.
 
 use crate::envelope::EnvelopePiece;
 use crate::line::{intersection_x, Line};
@@ -61,6 +72,22 @@ pub struct SweepOutcome {
     /// Whether the sweep stopped because it found the maximum number of
     /// events (as opposed to reaching `x_max`).
     pub truncated: bool,
+}
+
+impl SweepOutcome {
+    /// True if `line` stays below the k-th trace by more than `slack` at
+    /// both endpoints of every [`SweepOutcome::envelope`] piece (and hence,
+    /// the pieces being linear, throughout `[0, end_x]`). Such a line can
+    /// never win an event of this sweep, so adding it to the outside set
+    /// leaves the outcome unchanged. An empty trace proves nothing and
+    /// yields `false`.
+    pub fn line_stays_below(&self, line: &Line, slack: f64) -> bool {
+        !self.envelope.is_empty()
+            && self
+                .envelope
+                .iter()
+                .all(|p| line.stays_below(&p.line, p.x_start, p.x_end, slack))
+    }
 }
 
 /// The kinetic sorted list.
@@ -196,7 +223,8 @@ impl KineticSweep {
                 }
             }
             Pending::Enter(idx) => {
-                let entering = self.outside.swap_remove(idx);
+                // Order-preserving: see the module-level invariant.
+                let entering = self.outside.remove(idx);
                 let evicted = self.ordered.pop().expect("non-empty order");
                 self.ordered.push(entering);
                 self.outside.push(evicted);

@@ -35,6 +35,20 @@ impl Line {
         self.intercept + self.slope * x
     }
 
+    /// True if `self` lies below `upper` by more than `slack` at both `lo`
+    /// and `hi` — and so, both being linear, on all of `[lo, hi]`.
+    ///
+    /// This is the one "cannot reach the k-th line" test shared by the
+    /// update screen (a tuple below every region's k-th line cannot flip a
+    /// region boundary) and the φ-solver's cached sweep (a candidate below
+    /// the whole k-th trace cannot change the sweep outcome).
+    #[inline]
+    pub fn stays_below(&self, upper: &Line, lo: f64, hi: f64, slack: f64) -> bool {
+        [lo, hi]
+            .into_iter()
+            .all(|x| self.eval(x) < upper.eval(x) - slack)
+    }
+
     /// Compares two lines at position `x` with the canonical ranking order:
     /// higher value first, ties broken by smaller label.
     #[inline]
@@ -85,6 +99,19 @@ mod tests {
         let d3 = Line::new(3, 0.48, 0.1);
         let x = intersection_x(&d1, &d3).unwrap();
         assert!((x + 16.0 / 35.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stays_below_needs_the_slack_at_both_endpoints() {
+        let upper = Line::new(0, 0.5, 0.0);
+        let rising = Line::new(1, 0.3, 0.1);
+        assert!(rising.stays_below(&upper, 0.0, 1.0, 1e-9));
+        // Touches the upper line at x = 2: punctured on a range reaching it.
+        assert!(!rising.stays_below(&upper, 0.0, 2.0, 1e-9));
+        // Below by less than the slack counts as touching.
+        let grazing = Line::new(2, 0.5 - 1e-10, 0.0);
+        assert!(!grazing.stays_below(&upper, 0.0, 1.0, 1e-9));
+        assert!(grazing.stays_below(&upper, 0.0, 1.0, 0.0));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests for the kinetic sweep: its reported order changes must
-//! agree with brute-force re-ranking of the lines at sampled positions, and
-//! the envelope trace must equal the k-th ranked value everywhere.
+//! agree with brute-force re-ranking of the lines at sampled positions, the
+//! envelope trace must equal the k-th ranked value everywhere, and a line
+//! that stays below the k-th trace must leave the outcome bit-identical.
 
 use ir_geometry::{sweep_topk, Line};
 use proptest::prelude::*;
@@ -25,8 +26,57 @@ fn lines_strategy(count: usize) -> impl Strategy<Value = Vec<Line>> {
     })
 }
 
+/// Lines on a coarse 1/8 grid, so exact duplicates (one intercept and slope
+/// under several labels) and many-way ties at one crossing are common — the
+/// shape of a real corpus that repeats documents.
+fn grid_lines(count: usize) -> impl Strategy<Value = Vec<Line>> {
+    proptest::collection::vec((0u8..=8, 0u8..=8), count..=count).prop_map(|params| {
+        params
+            .into_iter()
+            .enumerate()
+            .map(|(i, (a, b))| Line::new(i as u64, f64::from(a) / 8.0, f64::from(b) / 8.0))
+            .collect()
+    })
+}
+
+/// The slack of the "stays below" test (the value `ir_core` uses).
+const SLACK: f64 = 1e-9;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64).with_seed(0xB00C_0003))]
+
+    /// Folds the non-result lines, then a relabelled copy of each, into a
+    /// sweep one at a time. Whenever the new line stays below the k-th trace
+    /// of the outcome before it by [`SLACK`], the fresh sweep over all lines
+    /// folded so far must equal (`==`: every event, order, piece and
+    /// `end_x`) that earlier outcome. This is what lets a caller keep a
+    /// cached outcome instead of re-sweeping.
+    #[test]
+    fn a_line_below_the_kth_trace_leaves_the_outcome_unchanged(
+        all_lines in grid_lines(12),
+        k in 1usize..4,
+        max_events in 1usize..16,
+    ) {
+        let x_max = 1.0;
+        let initial = rank_at(&all_lines, 0.0);
+        let topk: Vec<Line> = initial[..k]
+            .iter()
+            .map(|&label| all_lines[label as usize])
+            .collect();
+        let outside = all_lines.iter().filter(|l| !initial[..k].contains(&l.label));
+        let copies = outside.clone().map(|l| Line::new(l.label + 100, l.intercept, l.slope));
+        let mut folded = Vec::new();
+        let mut outcome = sweep_topk(topk.clone(), vec![], 0.0, x_max, max_events);
+        for line in outside.copied().chain(copies) {
+            let below = outcome.line_stays_below(&line, SLACK);
+            folded.push(line);
+            let fresh = sweep_topk(topk.clone(), folded.clone(), 0.0, x_max, max_events);
+            if below {
+                prop_assert_eq!(&fresh, &outcome, "line {:?} changed the outcome", line);
+            }
+            outcome = fresh;
+        }
+    }
 
     /// Between consecutive events the k-th member reported by the sweep's
     /// envelope equals the brute-force k-th ranked line, and after the last

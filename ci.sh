@@ -249,10 +249,13 @@ for example in quickstart document_retrieval hotel_sensitivity weight_tuning; do
 done
 # Every figure/ablation runner must complete at smoke scale — compiling is
 # not enough, they have runtime config (workload eligibility) to exercise.
+# Each runner's `wall-clock:` line is kept for the summary at the end.
+SMOKE_WALL_CLOCK=()
 for figure_bin in "${RUNNER_BINS[@]}"; do
     printf -- '--- figure runner: %s\n' "$figure_bin"
-    IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin "$figure_bin" -- \
-        --emit-json "$emit_dir_t1" >/dev/null
+    wall_clock="$(IR_BENCH_SCALE=smoke cargo run --release -q -p ir-bench --bin "$figure_bin" -- \
+        --emit-json "$emit_dir_t1" | { grep 'wall-clock:' || true; })"
+    SMOKE_WALL_CLOCK+=("$(printf '%-30s %s' "$figure_bin" "$wall_clock")")
 done
 end_stage
 
@@ -450,5 +453,8 @@ for i in "${!STAGE_NAMES[@]}"; do
     total=$((total + STAGE_SECS[i]))
 done
 printf '%-64s %8s\n' "total" "$total"
+
+printf '\n=== smoke figure-runner wall-clock (stage 8) ===\n'
+printf '%s\n' "${SMOKE_WALL_CLOCK[@]}"
 
 printf '\nCI OK\n'

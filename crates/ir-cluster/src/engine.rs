@@ -640,6 +640,7 @@ impl ShardedEngine {
                     Address::Coordinator,
                     Message::PartialRegion(Box::new(partial)),
                 );
+                node.record_partial_sent();
             }
             (Address::Coordinator, Message::PartialRegion(partial)) => {
                 self.accept_partial(*partial, state, network)?;
@@ -901,7 +902,7 @@ fn traffic_of(node: &ShardNode, alive: bool, requests_received: u64) -> ShardTra
         alive,
         requests_received,
         solves: node.solves(),
-        partials_sent: node.solves(),
+        partials_sent: node.partials_sent(),
         logical_reads: io.logical_reads,
         physical_reads: io.physical_reads,
     }

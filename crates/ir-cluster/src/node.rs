@@ -33,6 +33,8 @@ pub struct ShardNode {
     map: Option<ShardMap>,
     /// Work units solved since bring-up; every solve sends one partial.
     solves: u64,
+    /// Partials sent since bring-up, counted where they are sent.
+    partials_sent: u64,
 }
 
 impl ShardNode {
@@ -67,6 +69,7 @@ impl ShardNode {
             computations: HashMap::new(),
             map: None,
             solves: 0,
+            partials_sent: 0,
         })
     }
 
@@ -80,10 +83,22 @@ impl ShardNode {
         &self.engine
     }
 
-    /// Work units solved since bring-up — equal to the partial-region
-    /// messages sent, since every solve answers with exactly one.
+    /// Work units solved since bring-up. Every solve answers with exactly
+    /// one partial, so this must equal [`ShardNode::partials_sent`].
     pub fn solves(&self) -> u64 {
         self.solves
+    }
+
+    /// Partial-region messages sent since bring-up, counted by the caller
+    /// at the send site ([`ShardNode::record_partial_sent`]), independently
+    /// of [`ShardNode::solves`].
+    pub fn partials_sent(&self) -> u64 {
+        self.partials_sent
+    }
+
+    /// Records that one partial produced by [`ShardNode::solve`] was sent.
+    pub fn record_partial_sent(&mut self) {
+        self.partials_sent += 1;
     }
 
     /// Installs a (newer) work assignment; stale broadcasts — delivered out

@@ -17,7 +17,8 @@
 use immutable_regions::engine::IrEngine;
 use immutable_regions::prelude::*;
 use ir_cluster::{
-    ChurnPlan, ClusterError, ClusterOutcome, NetworkConfig, PartitionMode, ShardedEngine,
+    ChurnPlan, ClusterError, ClusterOutcome, ClusterRunStats, NetworkConfig, PartitionMode,
+    ShardTraffic, ShardedEngine,
 };
 use ir_storage::BackendKind;
 use proptest::prelude::*;
@@ -451,6 +452,39 @@ fn external_snapshot_and_topology_stamp() {
     let per_shard = &outcome.stats.per_shard;
     assert_eq!(per_shard.len(), 2);
     assert!(per_shard.iter().any(|traffic| traffic.solves > 0));
+    for traffic in per_shard {
+        assert_eq!(traffic.partials_sent, traffic.solves);
+    }
+}
+
+#[test]
+fn conservation_flags_a_shard_whose_partials_differ_from_its_solves() {
+    // The two per-shard counts come from different places (the node's
+    // solve counter and the send site), so the law can actually fail.
+    let traffic = ShardTraffic {
+        shard: 1,
+        alive: true,
+        solves: 5,
+        partials_sent: 4,
+        ..ShardTraffic::default()
+    };
+    let stats = ClusterRunStats {
+        per_shard: vec![traffic],
+        ..ClusterRunStats::default()
+    };
+    let violation = stats.conservation_violation().unwrap();
+    assert!(
+        violation.contains("shard-1 solved 5 units but sent 4 partials"),
+        "{violation}"
+    );
+    let balanced = ClusterRunStats {
+        per_shard: vec![ShardTraffic {
+            partials_sent: 5,
+            ..traffic
+        }],
+        ..ClusterRunStats::default()
+    };
+    assert_eq!(balanced.conservation_violation(), None);
 }
 
 proptest! {

@@ -2,9 +2,10 @@
 //!
 //! Every page access performed by the inverted-list cursors and the tuple
 //! store goes through a [`BufferPool`]. The pool keeps the most recently
-//! used pages in memory (classic LRU) and counts logical reads (requests),
-//! physical reads (misses that hit the page store) and writes. These counters
-//! are the raw material for the I/O metrics of the experiment harness.
+//! used pages in memory (exact LRU, O(1) per access) and counts logical
+//! reads (requests), physical reads (misses that hit the page store) and
+//! writes. These counters are the raw material for the I/O metrics of the
+//! experiment harness.
 //!
 //! The pool is also the retry boundary of the stack: a [`RetryPolicy`]
 //! re-issues store reads and writes that fail with a *transient* error
@@ -67,21 +68,143 @@ impl RetryPolicy {
     }
 }
 
-struct Frame {
+/// End-of-list marker of the intrusive recency list.
+const NIL: u32 = u32::MAX;
+
+/// One cached page, linked into the recency list by slot index.
+struct Slot {
+    page: PageId,
     data: Arc<PageBuf>,
-    last_used: u64,
+    /// Neighbour towards the most recently used end.
+    newer: u32,
+    /// Neighbour towards the least recently used end.
+    older: u32,
 }
 
-struct PoolInner {
-    frames: HashMap<PageId, Frame>,
-    tick: u64,
+/// The cache proper: a slot arena, an intrusive most-recent-first list over
+/// it and a `PageId → slot` map. Every operation is O(1); a hit allocates
+/// nothing. The list order is the order of last use, so the tail is exactly
+/// the page with the oldest last use — the classic LRU victim.
+struct Lru {
+    slots: Vec<Slot>,
+    map: HashMap<PageId, u32>,
+    /// Most recently used slot.
+    head: u32,
+    /// Least recently used slot (the next victim).
+    tail: u32,
     capacity: usize,
+}
+
+impl Lru {
+    fn new(capacity: usize) -> Self {
+        Lru {
+            slots: Vec::new(),
+            map: HashMap::new(),
+            head: NIL,
+            tail: NIL,
+            capacity,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let (newer, older) = {
+            let s = &self.slots[slot as usize];
+            (s.newer, s.older)
+        };
+        match newer {
+            NIL => self.head = older,
+            n => self.slots[n as usize].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+    }
+
+    fn push_front(&mut self, slot: u32) {
+        let old_head = self.head;
+        {
+            let s = &mut self.slots[slot as usize];
+            s.newer = NIL;
+            s.older = old_head;
+        }
+        match old_head {
+            NIL => self.tail = slot,
+            h => self.slots[h as usize].newer = slot,
+        }
+        self.head = slot;
+    }
+
+    /// Marks `slot` as the most recently used.
+    fn touch(&mut self, slot: u32) {
+        if self.head != slot {
+            self.unlink(slot);
+            self.push_front(slot);
+        }
+    }
+
+    /// The cached copy of `page`, marked most recently used.
+    fn get(&mut self, page: PageId) -> Option<Arc<PageBuf>> {
+        let slot = *self.map.get(&page)?;
+        self.touch(slot);
+        Some(Arc::clone(&self.slots[slot as usize].data))
+    }
+
+    /// Caches `data` as `page`, most recently used, evicting the least
+    /// recently used page when the pool is full.
+    fn insert(&mut self, page: PageId, data: Arc<PageBuf>) {
+        if let Some(&slot) = self.map.get(&page) {
+            // A concurrent miss on the same page got here first.
+            self.slots[slot as usize].data = data;
+            self.touch(slot);
+            return;
+        }
+        let slot = if self.len() >= self.capacity {
+            let victim = self.tail;
+            self.unlink(victim);
+            let s = &mut self.slots[victim as usize];
+            self.map.remove(&s.page);
+            s.page = page;
+            s.data = data;
+            victim
+        } else {
+            self.slots.push(Slot {
+                page,
+                data,
+                newer: NIL,
+                older: NIL,
+            });
+            (self.slots.len() - 1) as u32
+        };
+        self.map.insert(page, slot);
+        self.push_front(slot);
+    }
+
+    /// Refreshes the cached copy of `page`, if any, and marks it most
+    /// recently used; an uncached page stays uncached.
+    fn refresh(&mut self, page: PageId, data: &[u8]) {
+        if let Some(&slot) = self.map.get(&page) {
+            self.slots[slot as usize].data = Arc::new(data.to_vec().into_boxed_slice());
+            self.touch(slot);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.map.clear();
+        self.head = NIL;
+        self.tail = NIL;
+    }
 }
 
 /// An LRU page cache in front of a [`PageStore`].
 pub struct BufferPool {
     store: Arc<dyn PageStore>,
-    inner: Mutex<PoolInner>,
+    lru: Mutex<Lru>,
     /// Per-worker (sharded) counters: each thread records into its own
     /// shard, so parallel drivers can attribute I/O per worker (exact while
     /// each worker owns its shard; see `ShardedIoStats`) and the shard
@@ -110,11 +233,7 @@ impl BufferPool {
     ) -> Self {
         BufferPool {
             store,
-            inner: Mutex::new(PoolInner {
-                frames: HashMap::new(),
-                tick: 0,
-                capacity: capacity.max(1),
-            }),
+            lru: Mutex::new(Lru::new(capacity.max(1))),
             stats: ShardedIoStats::new(),
             retry,
         }
@@ -168,21 +287,15 @@ impl BufferPool {
 
     /// Number of pages currently cached.
     pub fn cached_pages(&self) -> usize {
-        self.inner.lock().frames.len()
+        self.lru.lock().len()
     }
 
     /// Reads a page through the cache. Records one logical read, plus one
     /// physical read if the page was not cached.
     pub fn read(&self, page: PageId) -> IrResult<Arc<PageBuf>> {
         self.stats.record_logical_read();
-        {
-            let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(frame) = inner.frames.get_mut(&page) {
-                frame.last_used = tick;
-                return Ok(Arc::clone(&frame.data));
-            }
+        if let Some(data) = self.lru.lock().get(page) {
+            return Ok(data);
         }
         // Miss: fetch outside the lock (retrying transient faults), then
         // insert.
@@ -191,19 +304,7 @@ impl BufferPool {
             || self.store.read_page(page),
             |stats| stats.record_read_retry(),
         )?);
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if inner.frames.len() >= inner.capacity {
-            Self::evict_lru(&mut inner);
-        }
-        inner.frames.insert(
-            page,
-            Frame {
-                data: Arc::clone(&data),
-                last_used: tick,
-            },
-        );
+        self.lru.lock().insert(page, Arc::clone(&data));
         Ok(data)
     }
 
@@ -221,13 +322,7 @@ impl BufferPool {
             |stats| stats.record_write_retry(),
         )?;
         self.stats.record_write();
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(frame) = inner.frames.get_mut(&page) {
-            frame.data = Arc::new(data.to_vec().into_boxed_slice());
-            frame.last_used = tick;
-        }
+        self.lru.lock().refresh(page, data);
         Ok(())
     }
 
@@ -238,7 +333,7 @@ impl BufferPool {
 
     /// Drops every cached page (the counters are preserved).
     pub fn clear_cache(&self) {
-        self.inner.lock().frames.clear();
+        self.lru.lock().clear();
     }
 
     /// Snapshot of the I/O counters (merged over every worker shard).
@@ -274,12 +369,6 @@ impl BufferPool {
     pub fn reset_io_stats(&self) {
         self.stats.reset();
         self.store.reset_io_stats();
-    }
-
-    fn evict_lru(inner: &mut PoolInner) {
-        if let Some((&victim, _)) = inner.frames.iter().min_by_key(|(_, frame)| frame.last_used) {
-            inner.frames.remove(&victim);
-        }
     }
 }
 

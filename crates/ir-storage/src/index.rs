@@ -18,7 +18,7 @@ use crate::maintain::{self, AppliedUpdate, MaintenanceStats, MaintenanceStatsSna
 use crate::pagestore::{FilePageStore, MemPageStore, PageStore};
 use crate::snapshot::{self, SnapshotSummary};
 use crate::stats::{IoConfig, IoStatsSnapshot};
-use crate::tuplestore::{write_tuples, TupleReader, TupleRegion};
+use crate::tuplestore::{read_tuple, write_tuples, TupleRegion};
 use ir_types::{Dataset, DimId, IrError, IrResult, SparseVector, TupleId, TupleUpdate};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -428,12 +428,14 @@ fn open_mmap_store(_path: &Path) -> IrResult<Arc<dyn PageStore>> {
 ///
 /// The directory state (which pages hold which list, where each tuple
 /// record lives) sits behind an `RwLock` so the index can be **maintained
-/// in place** under churn: queries take brief read locks to copy directory
-/// entries out, [`TopKIndex::apply_updates`] holds the write lock for a
-/// whole batch. Mutations are single-writer and are *not* linearizable
-/// with in-flight queries — a query concurrent with a batch may observe
-/// either the old or the new directory (never a torn one). Queries issued
-/// after `apply_updates` returns see the mutated index.
+/// in place** under churn: [`TopKIndex::apply_updates`] holds the write
+/// lock for a whole batch. A random access ([`TopKIndex::fetch_tuple`])
+/// holds the read lock while it reads and decodes the record, so each
+/// access is atomic with respect to a batch; other accessors hold it only
+/// long enough to copy a directory entry out (a cursor keeps scanning the
+/// pages its list had when it was opened). A *query* is not atomic: it
+/// makes many accesses, and a batch may land between two of them. Queries
+/// issued after `apply_updates` returns see the mutated index.
 pub struct TopKIndex {
     pool: Arc<BufferPool>,
     mutable: RwLock<Mutable>,
@@ -484,7 +486,7 @@ impl TopKIndex {
         self.fault_injector.as_ref().map(|f| f.plan())
     }
 
-    /// The buffer pool (shared with cursors and readers).
+    /// The buffer pool (shared with cursors).
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
     }
@@ -528,18 +530,16 @@ impl TopKIndex {
 
     /// Fetches the full sparse vector of a tuple (random access). A deleted
     /// tuple reads back as the empty vector.
+    ///
+    /// The record is decoded under the directory read guard, so the fetch
+    /// is atomic with respect to an [`TopKIndex::apply_updates`] batch: it
+    /// sees the tuple as it was before the batch or after it, never a mix.
+    /// Do not call it on a thread that already holds this index's
+    /// directory lock: the `parking_lot` read lock is not reentrant, and a
+    /// writer queued between the two acquisitions deadlocks the thread.
     pub fn fetch_tuple(&self, id: TupleId) -> IrResult<SparseVector> {
-        self.tuple_reader().fetch(id)
-    }
-
-    /// Creates a long-lived tuple reader sharing this index's pool. Like a
-    /// cursor, the reader snapshots the tuple region: it does not observe
-    /// later maintenance.
-    pub fn tuple_reader(&self) -> TupleReader {
-        TupleReader::new(
-            Arc::clone(&self.pool),
-            self.mutable.read().tuple_region.clone(),
-        )
+        let m = self.mutable.read();
+        read_tuple(&self.pool, &m.tuple_region, id)
     }
 
     /// Applies a batch of logical updates to the physical index in place —

@@ -51,7 +51,7 @@ pub mod stats;
 pub mod tuplestore;
 
 pub use buffer::{BufferPool, RetryPolicy};
-pub use checksum::fnv1a64;
+pub use checksum::checksum64;
 pub use fault::{CorruptionSpec, FaultInjectingPageStore, FaultPlan};
 pub use index::{
     BackendKind, ColdStartInfo, ColdStartSource, IndexBuilder, StorageBackend, TopKIndex,
@@ -64,7 +64,7 @@ pub use page::{PageId, PAGE_SIZE};
 pub use pagestore::{FilePageStore, MemPageStore, PageStore};
 pub use snapshot::{SnapshotPeek, SnapshotSummary};
 pub use stats::{
-    set_thread_stats_shard, thread_stats_shard, IoConfig, IoStats, IoStatsSnapshot, ShardedIoStats,
+    set_thread_stats_shard, thread_stats_shard, IoConfig, IoStatsSnapshot, ShardedIoStats,
     IO_STATS_SHARDS,
 };
 pub use tuplestore::TupleDirectoryEntry;

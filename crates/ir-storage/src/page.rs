@@ -49,21 +49,17 @@ pub fn zeroed_page() -> PageBuf {
     vec![0u8; PAGE_SIZE].into_boxed_slice()
 }
 
-// Re-exported here because the hash started life as the per-page frame
-// checksum; it now lives in the shared [`crate::checksum`] module so the
-// snapshot superheader can seal with the same function.
-pub use crate::checksum::fnv1a64;
-
 /// The self-validating on-disk layout of the file-backed page stores.
 ///
 /// A page file starts with a fixed-length versioned header, followed by one
 /// *frame* per page: the 4 KiB payload plus an 8-byte little-endian
-/// [`fnv1a64`] checksum trailer computed over the payload. Both
-/// `FilePageStore` and `MmapPageStore` read and write this exact layout, so
-/// the two stay byte-interchangeable. Every field is explicitly
-/// little-endian; the format is independent of host endianness.
+/// [`checksum64`](crate::checksum::checksum64) trailer computed over the
+/// payload. Both `FilePageStore` and `MmapPageStore` read and write this
+/// exact layout, so the two stay byte-interchangeable. Every field is
+/// explicitly little-endian; the format is independent of host endianness.
 pub mod frame {
-    use super::{fnv1a64, PageId, PAGE_SIZE};
+    use super::{PageId, PAGE_SIZE};
+    use crate::checksum::checksum64;
     use ir_types::{IrError, IrResult};
 
     /// Length of the per-frame checksum trailer in bytes.
@@ -75,8 +71,10 @@ pub mod frame {
     /// Magic bytes opening every page file.
     pub const MAGIC: [u8; 8] = *b"IRPAGES\0";
 
-    /// Version of the frame format (bumped on any layout change).
-    pub const FORMAT_VERSION: u32 = 1;
+    /// Version of the frame format (bumped on any layout change). Version 2
+    /// seals frames with [`checksum64`]; version-1 files (FNV-1a-64 seals)
+    /// are rejected at open and must be rebuilt.
+    pub const FORMAT_VERSION: u32 = 2;
 
     /// Length of the file header. Fixed so the frame offsets never move;
     /// the bytes past the three fields are zeroed and reserved.
@@ -154,13 +152,13 @@ pub mod frame {
     /// The checksum trailer for a payload, as stored on disk (LE).
     #[inline]
     pub fn seal(payload: &[u8]) -> [u8; CHECKSUM_LEN] {
-        fnv1a64(payload).to_le_bytes()
+        checksum64(payload).to_le_bytes()
     }
 
     /// Verifies a frame read back from disk: the trailer must equal the
     /// payload's checksum.
     pub fn verify(page: PageId, payload: &[u8], trailer: &[u8]) -> IrResult<()> {
-        let computed = fnv1a64(payload);
+        let computed = checksum64(payload);
         let mut stored = [0u8; CHECKSUM_LEN];
         stored.copy_from_slice(trailer);
         let stored = u64::from_le_bytes(stored);

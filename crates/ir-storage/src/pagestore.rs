@@ -17,7 +17,7 @@
 //!   memory copy (plus, at worst, a soft page fault serviced by the OS)
 //!   instead of a read syscall.
 //!
-//! All stores are *self-validating*: each stored page carries an FNV-1a-64
+//! All stores are *self-validating*: each stored page carries a 64-bit
 //! checksum (see [`crate::page::frame`]) that is verified on every read, and
 //! the file-backed stores open with a versioned header check. Damage
 //! surfaces as a typed [`IrError::Corruption`] naming the page, never as

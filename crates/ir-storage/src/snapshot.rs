@@ -46,8 +46,8 @@
 //! [44..48)  tuple_region_first  (first page of the tuple store)
 //! [48..52)  tuple_region_pages
 //! [52..56)  reserved, zero
-//! [56..64)  FNV-1a-64 of bytes [0..56) (LE) — the same shared
-//!           [`crate::checksum::fnv1a64`] that seals page frames
+//! [56..64)  checksum of bytes [0..56) (LE) — the same shared
+//!           [`crate::checksum::checksum64`] that seals page frames
 //! ```
 //!
 //! Every multi-byte field is explicitly little-endian; the format is
@@ -65,7 +65,7 @@
 //! never a silent reinterpretation of bytes.
 
 use crate::buffer::BufferPool;
-use crate::checksum::fnv1a64;
+use crate::checksum::checksum64;
 use crate::inverted::ListDirectoryEntry;
 use crate::page::{codec, zeroed_page, PageId, PAGE_SIZE};
 use crate::pagestore::{FilePageStore, PageStore};
@@ -84,7 +84,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"IRSNAP\0\0";
 
 /// Version of the snapshot layout (bumped on any change; readers accept
 /// exactly their own version — see the module docs for the policy).
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Version 2 seals the superheader and every frame with
+/// [`checksum64`].
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Length in bytes of the encoded superheader at the start of the last page.
 pub const SUPERHEADER_LEN: usize = 64;
@@ -186,7 +188,7 @@ impl SuperHeader {
         codec::put_u32(&mut bytes, 40, self.tuple_dir_first);
         codec::put_u32(&mut bytes, 44, self.tuple_region_first);
         codec::put_u32(&mut bytes, 48, self.tuple_region_pages);
-        let checksum = fnv1a64(&bytes[..56]);
+        let checksum = checksum64(&bytes[..56]);
         bytes[56..64].copy_from_slice(&checksum.to_le_bytes());
         bytes
     }
@@ -218,7 +220,7 @@ impl SuperHeader {
             )));
         }
         let stored = codec::get_u64(payload, 56);
-        let computed = fnv1a64(&payload[..56]);
+        let computed = checksum64(&payload[..56]);
         if stored != computed {
             return Err(corrupt(format!(
                 "snapshot superheader checksum mismatch: stored {stored:#018x}, \
@@ -566,7 +568,7 @@ mod tests {
         // checksum is recomputed to keep the seal valid.
         let mut bumped = payload.clone();
         codec::put_u32(&mut bumped, 8, SNAPSHOT_VERSION + 1);
-        let reseal = fnv1a64(&bumped[..56]);
+        let reseal = checksum64(&bumped[..56]);
         bumped[56..64].copy_from_slice(&reseal.to_le_bytes());
         let err = SuperHeader::decode(&bumped).unwrap_err();
         assert!(err.to_string().contains("snapshot version"), "{err}");

@@ -49,11 +49,12 @@ pub fn thread_stats_shard() -> usize {
     })
 }
 
-/// Mutable, thread-safe I/O counters owned by a [`crate::BufferPool`] (and,
-/// since the backend matrix landed, by every
-/// [`PageStore`](crate::pagestore::PageStore) for device-level accounting).
+/// One shard of a [`ShardedIoStats`]: plain atomic counters, padded out to
+/// its own cache line so concurrent workers recording into adjacent shards
+/// do not false-share.
 #[derive(Debug, Default)]
-pub struct IoStats {
+#[repr(align(64))]
+struct IoStats {
     logical_reads: AtomicU64,
     physical_reads: AtomicU64,
     pages_written: AtomicU64,
@@ -87,49 +88,7 @@ pub struct IoStatsSnapshot {
 }
 
 impl IoStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a logical page read (buffer hit or miss).
-    #[inline]
-    pub fn record_logical_read(&self) {
-        self.logical_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a physical page read (buffer miss).
-    #[inline]
-    pub fn record_physical_read(&self) {
-        self.physical_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a page write.
-    #[inline]
-    pub fn record_write(&self) {
-        self.pages_written.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a read system call issued to the OS.
-    #[inline]
-    pub fn record_read_syscall(&self) {
-        self.read_syscalls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a page read re-issued after a transient fault.
-    #[inline]
-    pub fn record_read_retry(&self) {
-        self.read_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a page write re-issued after a transient fault.
-    #[inline]
-    pub fn record_write_retry(&self) {
-        self.write_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot of the current counter values.
-    pub fn snapshot(&self) -> IoStatsSnapshot {
+    fn snapshot(&self) -> IoStatsSnapshot {
         IoStatsSnapshot {
             logical_reads: self.logical_reads.load(Ordering::Relaxed),
             physical_reads: self.physical_reads.load(Ordering::Relaxed),
@@ -140,8 +99,7 @@ impl IoStats {
         }
     }
 
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
+    fn reset(&self) {
         self.logical_reads.store(0, Ordering::Relaxed);
         self.physical_reads.store(0, Ordering::Relaxed);
         self.pages_written.store(0, Ordering::Relaxed);
@@ -151,13 +109,9 @@ impl IoStats {
     }
 }
 
-/// One shard padded out to its own cache line, so concurrent workers
-/// recording into adjacent shards do not false-share.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct PaddedIoStats(IoStats);
-
-/// Per-worker I/O counters: one [`IoStats`] shard per worker slot.
+/// Thread-safe I/O counters, owned by a [`crate::BufferPool`] and by every
+/// [`PageStore`](crate::pagestore::PageStore) for device-level accounting.
+/// They are kept per worker: one shard of atomic counters per worker slot.
 ///
 /// Every record lands in exactly one shard (the calling thread's, see
 /// [`thread_stats_shard`]), so the merge of the per-worker snapshots is
@@ -171,7 +125,7 @@ struct PaddedIoStats(IoStats);
 /// exact.
 #[derive(Debug)]
 pub struct ShardedIoStats {
-    shards: Box<[PaddedIoStats]>,
+    shards: Box<[IoStats]>,
 }
 
 impl Default for ShardedIoStats {
@@ -184,60 +138,56 @@ impl ShardedIoStats {
     /// Creates zeroed counters with [`IO_STATS_SHARDS`] shards.
     pub fn new() -> Self {
         ShardedIoStats {
-            shards: (0..IO_STATS_SHARDS)
-                .map(|_| PaddedIoStats::default())
-                .collect(),
+            shards: (0..IO_STATS_SHARDS).map(|_| IoStats::default()).collect(),
         }
     }
 
     #[inline]
     fn shard(&self) -> &IoStats {
-        &self.shards[thread_stats_shard() % self.shards.len()].0
+        &self.shards[thread_stats_shard() % self.shards.len()]
     }
 
     /// Records a logical page read in the calling thread's shard.
     #[inline]
     pub fn record_logical_read(&self) {
-        self.shard().record_logical_read();
+        self.shard().logical_reads.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a physical page read in the calling thread's shard.
     #[inline]
     pub fn record_physical_read(&self) {
-        self.shard().record_physical_read();
+        self.shard().physical_reads.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a page write in the calling thread's shard.
     #[inline]
     pub fn record_write(&self) {
-        self.shard().record_write();
+        self.shard().pages_written.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a read system call in the calling thread's shard.
     #[inline]
     pub fn record_read_syscall(&self) {
-        self.shard().record_read_syscall();
+        self.shard().read_syscalls.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a retried page read in the calling thread's shard.
     #[inline]
     pub fn record_read_retry(&self) {
-        self.shard().record_read_retry();
+        self.shard().read_retries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a retried page write in the calling thread's shard.
     #[inline]
     pub fn record_write_retry(&self) {
-        self.shard().record_write_retry();
+        self.shard().write_retries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The merged snapshot: counter-wise sum over every shard.
     pub fn snapshot(&self) -> IoStatsSnapshot {
         self.shards
             .iter()
-            .fold(IoStatsSnapshot::default(), |acc, s| {
-                acc.plus(&s.0.snapshot())
-            })
+            .fold(IoStatsSnapshot::default(), |acc, s| acc.plus(&s.snapshot()))
     }
 
     /// Snapshot of the calling thread's own shard.
@@ -247,13 +197,13 @@ impl ShardedIoStats {
 
     /// Per-shard snapshots (one per worker slot; unused slots are zero).
     pub fn worker_snapshots(&self) -> Vec<IoStatsSnapshot> {
-        self.shards.iter().map(|s| s.0.snapshot()).collect()
+        self.shards.iter().map(IoStats::snapshot).collect()
     }
 
     /// Resets every shard to zero.
     pub fn reset(&self) {
         for shard in self.shards.iter() {
-            shard.0.reset();
+            shard.reset();
         }
     }
 }
@@ -328,7 +278,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_reset() {
-        let stats = IoStats::new();
+        let stats = ShardedIoStats::new();
         stats.record_logical_read();
         stats.record_logical_read();
         stats.record_physical_read();

@@ -10,7 +10,6 @@ use crate::buffer::BufferPool;
 use crate::page::{codec, zeroed_page, PageId, PAGE_SIZE};
 use ir_types::{Dataset, IrError, IrResult, SparseVector, TupleId};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Bytes used per non-zero coordinate (`u32` dim + `f64` value).
 pub const COORD_BYTES: usize = 12;
@@ -102,9 +101,10 @@ pub(crate) fn encode_record(tuple: &SparseVector) -> Vec<u8> {
     bytes
 }
 
-/// Fetches one tuple out of `region` without materialising a reader — the
-/// borrow-friendly twin of [`TupleReader::fetch`] used by the maintenance
-/// path, whose region mutates between fetches.
+/// Fetches the full sparse vector of one tuple out of `region` (TA's random
+/// access). The caller keeps `region` borrowed for the whole read — the
+/// index holds its directory read guard — so the record cannot move under
+/// the fetch.
 pub(crate) fn read_tuple(
     pool: &BufferPool,
     region: &TupleRegion,
@@ -179,39 +179,12 @@ pub(crate) fn write_region_bytes(
     Ok(())
 }
 
-/// Random-access reader over a [`TupleRegion`].
-pub struct TupleReader {
-    pool: Arc<BufferPool>,
-    region: TupleRegion,
-}
-
-impl TupleReader {
-    /// Creates a reader.
-    pub fn new(pool: Arc<BufferPool>, region: TupleRegion) -> Self {
-        TupleReader { pool, region }
-    }
-
-    /// Number of tuples stored.
-    pub fn cardinality(&self) -> usize {
-        self.region.directory.len()
-    }
-
-    /// The region metadata.
-    pub fn region(&self) -> &TupleRegion {
-        &self.region
-    }
-
-    /// Fetches the full sparse vector of a tuple (TA's random access).
-    pub fn fetch(&self, id: TupleId) -> IrResult<SparseVector> {
-        read_tuple(&self.pool, &self.region, id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pagestore::MemPageStore;
     use ir_types::DatasetBuilder;
+    use std::sync::Arc;
 
     fn make_pool() -> Arc<BufferPool> {
         Arc::new(BufferPool::new(Arc::new(MemPageStore::new())))
@@ -222,12 +195,14 @@ mod tests {
         let pool = make_pool();
         let dataset = Dataset::running_example();
         let region = write_tuples(&pool, &dataset).unwrap();
-        let reader = TupleReader::new(Arc::clone(&pool), region);
-        assert_eq!(reader.cardinality(), 4);
+        assert_eq!(region.directory.len(), 4);
         for (id, tuple) in dataset.iter() {
-            assert_eq!(&reader.fetch(id).unwrap(), tuple);
+            assert_eq!(&read_tuple(&pool, &region, id).unwrap(), tuple);
         }
-        assert!(reader.fetch(TupleId(10)).is_err());
+        assert!(matches!(
+            read_tuple(&pool, &region, TupleId(10)),
+            Err(IrError::UnknownTuple { tuple: 10 })
+        ));
     }
 
     #[test]
@@ -245,9 +220,8 @@ mod tests {
         let pool = make_pool();
         let region = write_tuples(&pool, &dataset).unwrap();
         assert!(region.num_pages >= 2);
-        let reader = TupleReader::new(Arc::clone(&pool), region);
         for (id, tuple) in dataset.iter() {
-            assert_eq!(&reader.fetch(id).unwrap(), tuple);
+            assert_eq!(&read_tuple(&pool, &region, id).unwrap(), tuple);
         }
     }
 
@@ -259,9 +233,8 @@ mod tests {
         let dataset = builder.build();
         let pool = make_pool();
         let region = write_tuples(&pool, &dataset).unwrap();
-        let reader = TupleReader::new(pool, region);
-        assert_eq!(reader.fetch(TupleId(0)).unwrap().nnz(), 0);
-        assert_eq!(reader.fetch(TupleId(1)).unwrap().nnz(), 1);
+        assert_eq!(read_tuple(&pool, &region, TupleId(0)).unwrap().nnz(), 0);
+        assert_eq!(read_tuple(&pool, &region, TupleId(1)).unwrap().nnz(), 1);
     }
 
     #[test]
@@ -269,10 +242,9 @@ mod tests {
         let pool = make_pool();
         let dataset = Dataset::running_example();
         let region = write_tuples(&pool, &dataset).unwrap();
-        let reader = TupleReader::new(Arc::clone(&pool), region);
         pool.clear_cache();
         pool.reset_io_stats();
-        reader.fetch(TupleId(2)).unwrap();
+        read_tuple(&pool, &region, TupleId(2)).unwrap();
         let snap = pool.io_snapshot();
         assert!(snap.logical_reads >= 1);
         assert!(snap.physical_reads >= 1);

@@ -4,11 +4,18 @@
 //! same list contents in the same stored order, same tuple vectors, same
 //! cardinality. Plus the physical properties maintenance promises: free
 //! page runs are recycled, relocations are counted, maintenance I/O lands
-//! in its own counters, and a snapshot saved mid-churn reopens as the
-//! mutated state.
+//! in its own counters, a snapshot saved mid-churn reopens as the mutated
+//! state, and a random access running concurrently with maintenance never
+//! reads a torn record.
 
-use ir_storage::{IndexBuilder, StorageBackend, TopKIndex};
-use ir_types::{Dataset, DatasetBuilder, DimId, SeededLcg, SparseVector, TupleId, TupleUpdate};
+use ir_datagen::{UpdateConfig, UpdateStream};
+use ir_storage::{IndexBuilder, StorageBackend, TopKIndex, PAGE_SIZE};
+use ir_types::{
+    Dataset, DatasetBuilder, DimId, IrError, SeededLcg, SparseVector, TupleId, TupleUpdate,
+};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 /// Entries of one inverted list in stored order, read through a cursor.
 fn list_entries(index: &TopKIndex, dim: u32) -> Vec<(TupleId, f64)> {
@@ -280,4 +287,123 @@ fn file_backend_applies_updates_in_place() {
         dataset.apply_update(update).unwrap();
     }
     assert_matches_fresh_build(&index, &dataset);
+}
+
+#[test]
+fn fetches_concurrent_with_maintenance_never_read_a_torn_record() {
+    // Records of ~24 coordinates (~290 bytes): about one in fourteen
+    // straddles a page boundary.
+    let dims = 48u32;
+    let mut builder = DatasetBuilder::new(dims);
+    let mut rng = SeededLcg::mixed(0x70_12E);
+    for _ in 0..400 {
+        let mut pairs: Vec<(u32, f64)> = Vec::new();
+        for d in 0..dims {
+            if rng.next_below(2) == 0 {
+                pairs.push((d, (rng.next_below(999) + 1) as f64 / 1000.0));
+            }
+        }
+        builder.push_pairs(pairs).unwrap();
+    }
+    let dataset = builder.build();
+    let config = UpdateConfig {
+        num_updates: 960,
+        churn: 0.2,
+        zipf_exponent: 1.1,
+        remove_fraction: 0.05,
+    };
+    let stream = UpdateStream::generate(&dataset, &config, 0x5EED).unwrap();
+    // A steep Zipf head rewrites the hottest tuples several times inside
+    // one batch, so a state between two updates of a batch is observable
+    // if the batch is not atomic for readers.
+    let batches: Vec<&[TupleUpdate]> = stream.batches(16).collect();
+
+    // Every batch-boundary state of the dataset: a fetch may see any one
+    // of them, never a state inside a batch or a mix of two.
+    let mut states = vec![dataset.clone()];
+    for batch in &batches {
+        let next = states.last().unwrap().with_updates(batch).unwrap();
+        states.push(next);
+    }
+
+    // The tuples the stream touches, with their record byte ranges in the
+    // built layout (records are laid out back to back in id order).
+    let touched: BTreeSet<TupleId> = stream
+        .iter()
+        .filter_map(|u| match u {
+            TupleUpdate::Delete { tuple } | TupleUpdate::UpdateScore { tuple, .. } => Some(*tuple),
+            TupleUpdate::Insert { .. } => None,
+        })
+        .collect();
+    let mut offsets = vec![0usize];
+    for (_, tuple) in dataset.iter() {
+        offsets.push(offsets.last().unwrap() + tuple.nnz() * 12);
+    }
+    let spans_pages =
+        |id: TupleId| offsets[id.index()] / PAGE_SIZE != (offsets[id.index() + 1] - 1) / PAGE_SIZE;
+    // The reader must cover a record that straddles a page boundary and
+    // is rewritten in place (same length) while it still sits there.
+    let mut replay = dataset.clone();
+    let mut straddling_in_place = 0;
+    for update in stream.iter() {
+        if let TupleUpdate::UpdateScore { tuple, dim, value } = update {
+            let built = tuple.index() < dataset.cardinality();
+            if built
+                && spans_pages(*tuple)
+                && replay.tuple(*tuple).unwrap().nnz() == dataset.tuple(*tuple).unwrap().nnz()
+                && *value > 0.0
+                && replay.coordinate(*tuple, *dim) > 0.0
+            {
+                straddling_in_place += 1;
+            }
+        }
+        replay.apply_update(update).unwrap();
+    }
+    assert!(
+        straddling_in_place > 0,
+        "the stream must rewrite a page-straddling record in place"
+    );
+
+    // A small pool, so the reader also misses and evicts while the writer
+    // refreshes cached pages.
+    let index = IndexBuilder::new()
+        .pool_capacity(8)
+        .build(&dataset)
+        .unwrap();
+    let writer_done = AtomicBool::new(false);
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            start.wait();
+            loop {
+                // Acquire pairs with the writer's Release store: the pass
+                // that sees `true` starts after the last batch returned.
+                let last_pass = writer_done.load(Ordering::Acquire);
+                for &id in &touched {
+                    match index.fetch_tuple(id) {
+                        Ok(vector) => assert!(
+                            states.iter().any(|s| s.tuple(id).ok() == Some(&vector)),
+                            "tuple {id:?} read back {vector:?}, which no batch boundary holds"
+                        ),
+                        // An inserted tuple the writer has not reached yet.
+                        Err(IrError::UnknownTuple { .. }) => {
+                            assert!(id.index() >= dataset.cardinality())
+                        }
+                        Err(e) => panic!("fetch of {id:?} failed: {e}"),
+                    }
+                }
+                if last_pass {
+                    return;
+                }
+            }
+        });
+        start.wait();
+        for batch in &batches {
+            index.apply_updates(batch).unwrap();
+        }
+        writer_done.store(true, Ordering::Release);
+        reader.join().unwrap();
+    });
+    // Nothing went missing: the final state is the fully mutated dataset.
+    assert_matches_fresh_build(&index, states.last().unwrap());
 }

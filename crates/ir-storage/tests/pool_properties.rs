@@ -1,11 +1,13 @@
 //! Property and concurrency tests for the storage layer: the buffer pool
 //! must be transparent (reads through any pool size return identical data)
-//! and safe to share across threads, and the index layout must round-trip
-//! arbitrary datasets.
+//! and safe to share across threads, it must evict exactly the least
+//! recently used page, and the index layout must round-trip arbitrary
+//! datasets.
 
 use ir_storage::{BufferPool, IndexBuilder, MemPageStore, PageId, PageStore, TopKIndex, PAGE_SIZE};
 use ir_types::{Dataset, DatasetBuilder, DimId, TupleId};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn dataset_strategy() -> impl Strategy<Value = Dataset> {
@@ -79,6 +81,140 @@ proptest! {
             large.fetch_tuple(id).unwrap();
         }
         prop_assert_eq!(large.io_snapshot().physical_reads, 0);
+    }
+}
+
+/// One step of a pool trace.
+#[derive(Clone, Debug)]
+enum PoolOp {
+    Read(u32),
+    Write(u32),
+    ClearCache,
+}
+
+/// The naive LRU the pool must agree with: every cached page carries the
+/// tick of its last use, and a miss on a full pool evicts the page with
+/// the smallest tick by scanning them all.
+struct MinTickLru {
+    last_used: HashMap<u32, u64>,
+    tick: u64,
+    capacity: usize,
+}
+
+impl MinTickLru {
+    /// Returns whether the read hit.
+    fn read(&mut self, page: u32) -> bool {
+        self.tick += 1;
+        if let Some(used) = self.last_used.get_mut(&page) {
+            *used = self.tick;
+            return true;
+        }
+        if self.last_used.len() >= self.capacity {
+            let victim = *self
+                .last_used
+                .iter()
+                .min_by_key(|(_, &used)| used)
+                .unwrap()
+                .0;
+            self.last_used.remove(&victim);
+        }
+        self.last_used.insert(page, self.tick);
+        false
+    }
+
+    fn write(&mut self, page: u32) {
+        self.tick += 1;
+        if let Some(used) = self.last_used.get_mut(&page) {
+            *used = self.tick;
+        }
+    }
+}
+
+/// Traces of reads (8 in 12), writes (3 in 12) and cache clears.
+fn pool_trace(pages: u32) -> impl Strategy<Value = Vec<PoolOp>> {
+    let op = (0u32..12, 0..pages).prop_map(|(kind, page)| match kind {
+        0..=7 => PoolOp::Read(page),
+        8..=10 => PoolOp::Write(page),
+        _ => PoolOp::ClearCache,
+    });
+    proptest::collection::vec(op, 0..300)
+}
+
+/// The pool capacities under test.
+fn capacity() -> impl Strategy<Value = usize> {
+    (0usize..4).prop_map(|i| [1, 2, 7, 64][i])
+}
+
+/// Runs `trace` against a fresh pool of `capacity` pages and the min-tick
+/// reference, asserting they agree on every hit/miss and on the number of
+/// cached pages after every step, and that reads return the latest write.
+fn check_against_min_tick(capacity: usize, pages: u32, trace: &[PoolOp]) {
+    let store = Arc::new(MemPageStore::new());
+    store.allocate(pages).unwrap();
+    let pool = BufferPool::with_capacity(store, capacity);
+    let mut reference = MinTickLru {
+        last_used: HashMap::new(),
+        tick: 0,
+        capacity,
+    };
+    let mut content = vec![0u8; pages as usize];
+    for (step, op) in trace.iter().enumerate() {
+        match *op {
+            PoolOp::Read(page) => {
+                let misses = pool.io_snapshot().physical_reads;
+                let data = pool.read(PageId(page)).unwrap();
+                let hit = pool.io_snapshot().physical_reads == misses;
+                assert_eq!(
+                    hit,
+                    reference.read(page),
+                    "step {step}: read of page {page}"
+                );
+                assert_eq!(
+                    data[0], content[page as usize],
+                    "step {step}: stale page {page}"
+                );
+            }
+            PoolOp::Write(page) => {
+                content[page as usize] = content[page as usize].wrapping_add(1);
+                let mut data = vec![0u8; PAGE_SIZE];
+                data[0] = content[page as usize];
+                pool.write(PageId(page), &data).unwrap();
+                reference.write(page);
+            }
+            PoolOp::ClearCache => {
+                pool.clear_cache();
+                reference.last_used.clear();
+            }
+        }
+        assert_eq!(
+            pool.cached_pages(),
+            reference.last_used.len(),
+            "step {step}: cached page count"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48).with_seed(0xB00C_0002))]
+
+    /// The O(1) pool evicts exactly the page a min-tick scan would, at
+    /// capacities from a single frame to more than the trace touches.
+    #[test]
+    fn lru_matches_a_min_tick_scan(
+        capacity in capacity(),
+        trace in pool_trace(24),
+    ) {
+        check_against_min_tick(capacity, 24, &trace);
+    }
+
+    /// The same law with a page universe twice the largest capacity, so
+    /// the 64-page pool also fills and evicts.
+    #[test]
+    fn lru_matches_a_min_tick_scan_when_full(
+        capacity in capacity(),
+        trace in pool_trace(128),
+    ) {
+        check_against_min_tick(capacity, 128, &trace);
     }
 }
 

@@ -9,8 +9,8 @@
 //! feature) mmap.
 
 use ir_storage::page::{frame, PageId, PAGE_SIZE};
-use ir_storage::snapshot::{SNAPSHOT_FILE, SUPERHEADER_LEN};
-use ir_storage::{fnv1a64, BackendKind, FaultPlan, IndexBuilder, StorageBackend, TopKIndex};
+use ir_storage::snapshot::{SNAPSHOT_FILE, SNAPSHOT_VERSION, SUPERHEADER_LEN};
+use ir_storage::{checksum64, BackendKind, FaultPlan, IndexBuilder, StorageBackend, TopKIndex};
 use ir_types::{Dataset, DatasetBuilder, DimId, IrError, TupleId};
 use std::path::{Path, PathBuf};
 
@@ -139,7 +139,7 @@ fn rewrite_superheader(path: &Path, mutate: impl FnOnce(&mut [u8])) {
 /// edit is only caught by the targeted validation (magic/version), never
 /// masked by the checksum line of defence.
 fn reseal_superheader(payload: &mut [u8]) {
-    let sum = fnv1a64(&payload[..SUPERHEADER_LEN - 8]);
+    let sum = checksum64(&payload[..SUPERHEADER_LEN - 8]);
     payload[SUPERHEADER_LEN - 8..SUPERHEADER_LEN].copy_from_slice(&sum.to_le_bytes());
 }
 
@@ -206,7 +206,7 @@ fn foreign_and_version_bumped_superheaders_are_rejected() {
     // exactly their own version (the rebuild-and-resave policy).
     let (_oracle, root, file) = saved_snapshot(&dataset);
     rewrite_superheader(&file, |payload| {
-        payload[8..12].copy_from_slice(&2u32.to_le_bytes());
+        payload[8..12].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
         reseal_superheader(payload);
     });
     assert_rejected(
@@ -224,6 +224,37 @@ fn foreign_and_version_bumped_superheaders_are_rejected() {
         &root.path().join("snap"),
         "checksum mismatch",
         "unsealed field flip",
+    );
+}
+
+/// Files of the version-1 formats (FNV-1a-64 seals) are not read: the page
+/// file header and the superheader each name their version, and both fail
+/// typed, so the upgrade path is rebuild-and-resave.
+#[test]
+fn version_1_files_are_rejected() {
+    let dataset = synthetic_dataset();
+
+    // A version-1 page file header fails before any frame is read.
+    let (_oracle, root, file) = saved_snapshot(&dataset);
+    let mut bytes = std::fs::read(&file).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&file, &bytes).unwrap();
+    assert_rejected(
+        &root.path().join("snap"),
+        "unsupported format version 1",
+        "version-1 page file",
+    );
+
+    // A version-1 superheader (correctly sealed) inside a current page file.
+    let (_oracle, root, file) = saved_snapshot(&dataset);
+    rewrite_superheader(&file, |payload| {
+        payload[8..12].copy_from_slice(&1u32.to_le_bytes());
+        reseal_superheader(payload);
+    });
+    assert_rejected(
+        &root.path().join("snap"),
+        "unsupported snapshot version 1",
+        "version-1 superheader",
     );
 }
 
